@@ -27,6 +27,7 @@ name         areas   paper description
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -110,6 +111,6 @@ def load_dataset(
         raise DatasetError(
             f"unknown dataset {name!r}; available: {', '.join(DATASETS)}"
         )
-    if scale <= 0:
-        raise DatasetError("scale must be positive")
+    if not math.isfinite(scale) or scale <= 0:
+        raise DatasetError(f"scale must be a finite positive number, got {scale}")
     return _load_cached(name, float(scale), seed)

@@ -46,7 +46,19 @@ class Polygon:
         if _signed_area(ring) == 0:
             raise GeometryError("degenerate polygon with zero area")
         self._vertices: tuple[Point, ...] = tuple(ring)
-        self._bbox = BBox.of_points(ring)
+        self._bbox: BBox | None = None
+
+    @classmethod
+    def _from_validated_ring(cls, ring: tuple[Point, ...]) -> "Polygon":
+        """A polygon over a ring that already passed every check of
+        ``__init__``: no repeated closing vertex, at least 3 vertices,
+        counter-clockwise and non-zero area. The array kernels of
+        :mod:`repro.geometry.tessellation` run those checks for whole
+        tessellations at once and build each polygon through here."""
+        polygon = object.__new__(cls)
+        polygon._vertices = ring
+        polygon._bbox = None
+        return polygon
 
     # ------------------------------------------------------------------
     @property
@@ -56,7 +68,9 @@ class Polygon:
 
     @property
     def bbox(self) -> BBox:
-        """The polygon's bounding box."""
+        """The polygon's bounding box (computed on first use)."""
+        if self._bbox is None:
+            self._bbox = BBox.of_points(self._vertices)
         return self._bbox
 
     def __len__(self) -> int:
@@ -129,7 +143,7 @@ class Polygon:
 
     def contains_point(self, point: Point) -> bool:
         """Ray-casting point-in-polygon test (boundary counts inside)."""
-        if not self._bbox.contains_point(point):
+        if not self.bbox.contains_point(point):
             return False
         inside = False
         ring = self._vertices

@@ -16,6 +16,13 @@ seed is mirrored across the four sides of the bounding box, so the
 cells of the original seeds are finite and clip exactly to the box.
 Rook adjacency comes directly from scipy's ``ridge_points``.
 
+The per-cell geometry of a Voronoi tessellation (Lloyd centroids, the
+checks :class:`Polygon` makes, patch translation) runs over padded
+vertex-index arrays: row ``i`` holds the vertex indices of cell ``i``'s
+ring and columns past the ring's length are padding. Every sum is
+accumulated vertex by vertex in ring order, as :class:`Polygon`'s own
+loops do, so the floats are the same bit for bit.
+
 :func:`multi_patch_tessellation` lays several tessellations side by
 side with gaps, producing a dataset with multiple connected components
 (the multi-state datasets of Table I; FaCT explicitly supports this
@@ -24,6 +31,7 @@ while classic max-p formulations do not).
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -73,19 +81,6 @@ class Tessellation:
     def centroids(self) -> list[Point]:
         """Centroid of every cell, by index."""
         return [polygon.centroid for polygon in self.polygons]
-
-    def translated(self, dx: float, dy: float) -> "Tessellation":
-        """A copy shifted by ``(dx, dy)`` (used to lay out patches)."""
-        return Tessellation(
-            tuple(p.translated(dx, dy) for p in self.polygons),
-            dict(self.adjacency),
-            BBox(
-                self.bbox.min_x + dx,
-                self.bbox.min_y + dy,
-                self.bbox.max_x + dx,
-                self.bbox.max_y + dy,
-            ),
-        )
 
 
 def grid_tessellation(rows: int, cols: int, cell_size: float = 1.0) -> Tessellation:
@@ -209,49 +204,12 @@ def voronoi_tessellation(
         which regularizes cell sizes the way census tracts are
         regularized by population.
     """
-    if n_units < 3:
-        raise GeometryError("voronoi tessellation needs at least 3 units")
     if bbox is None:
-        side = float(np.sqrt(n_units))
-        bbox = BBox(0.0, 0.0, side, side)
-    rng = np.random.default_rng(seed)
-    points = np.column_stack(
-        [
-            rng.uniform(bbox.min_x, bbox.max_x, size=n_units),
-            rng.uniform(bbox.min_y, bbox.max_y, size=n_units),
-        ]
+        bbox = _default_bbox(n_units)
+    xy, index, length, adjacency = _voronoi_cells(
+        n_units, seed, bbox, lloyd_iterations
     )
-    for _ in range(max(0, lloyd_iterations)):
-        diagram = _bounded_voronoi(points, bbox)
-        points = np.array(
-            [_cell_centroid(diagram, i) for i in range(n_units)]
-        )
-        points[:, 0] = points[:, 0].clip(bbox.min_x, bbox.max_x)
-        points[:, 1] = points[:, 1].clip(bbox.min_y, bbox.max_y)
-    diagram = _bounded_voronoi(points, bbox)
-
-    polygons: list[Polygon] = []
-    for i in range(n_units):
-        region_index = diagram.point_region[i]
-        vertex_indices = diagram.regions[region_index]
-        if -1 in vertex_indices or not vertex_indices:
-            raise GeometryError(
-                f"unbounded voronoi cell for unit {i}; reflection failed"
-            )
-        polygons.append(
-            Polygon(Point(*diagram.vertices[v]) for v in vertex_indices)
-        )
-
-    adjacency: dict[int, set[int]] = {i: set() for i in range(n_units)}
-    for a, b in diagram.ridge_points:
-        if a < n_units and b < n_units:
-            adjacency[int(a)].add(int(b))
-            adjacency[int(b)].add(int(a))
-    return Tessellation(
-        tuple(polygons),
-        {i: frozenset(neighbors) for i, neighbors in adjacency.items()},
-        bbox,
-    )
+    return Tessellation(_polygons(xy, index, length), adjacency, bbox)
 
 
 def multi_patch_tessellation(
@@ -261,36 +219,54 @@ def multi_patch_tessellation(
 
     The result has ``len(patch_sizes)`` connected components — the
     synthetic analogue of the paper's multi-state datasets (Table I)
-    where non-adjacent states form separate components.
+    where non-adjacent states form separate components. Its bbox is
+    the union of the patch boxes.
     """
     if not patch_sizes:
         raise GeometryError("multi_patch_tessellation needs at least one patch")
     polygons: list[Polygon] = []
     adjacency: dict[int, frozenset[int]] = {}
+    boxes: list[BBox] = []
     offset_x = 0.0
-    max_height = 0.0
     base = 0
     for patch_index, size in enumerate(patch_sizes):
-        patch = voronoi_tessellation(size, seed=seed + patch_index)
-        patch = patch.translated(offset_x, 0.0)
-        for local_index, polygon in enumerate(patch.polygons):
-            polygons.append(polygon)
+        box = _default_bbox(size)
+        xy, index, length, patch_adjacency = _voronoi_cells(
+            size, seed + patch_index, box, 1
+        )
+        # Shift the patch, then re-check its rings on the shifted
+        # coordinates, as building each polygon again would.
+        xy = xy + np.array([offset_x, 0.0])
+        index, length, _ = _normalise_rings(xy, index, length)
+        polygons.extend(_polygons(xy, index, length))
+        for local_index, neighbors in patch_adjacency.items():
             adjacency[base + local_index] = frozenset(
-                base + neighbor for neighbor in patch.adjacency[local_index]
+                base + neighbor for neighbor in neighbors
             )
-        offset_x = patch.bbox.max_x + gap_fraction * patch.bbox.width
-        max_height = max(max_height, patch.bbox.max_y)
+        box = BBox(box.min_x + offset_x, box.min_y, box.max_x + offset_x, box.max_y)
+        boxes.append(box)
+        offset_x = box.max_x + gap_fraction * box.width
         base += size
     return Tessellation(
         tuple(polygons),
         adjacency,
-        BBox(0.0, 0.0, offset_x, max_height),
+        BBox(
+            min(b.min_x for b in boxes),
+            min(b.min_y for b in boxes),
+            max(b.max_x for b in boxes),
+            max(b.max_y for b in boxes),
+        ),
     )
 
 
 # ----------------------------------------------------------------------
 # internals
 # ----------------------------------------------------------------------
+
+def _default_bbox(n_units: int) -> BBox:
+    side = float(np.sqrt(n_units))
+    return BBox(0.0, 0.0, side, side)
+
 
 def _bounded_voronoi(points: np.ndarray, bbox: BBox) -> Voronoi:
     """Voronoi diagram whose first ``len(points)`` cells are clipped to
@@ -306,10 +282,149 @@ def _bounded_voronoi(points: np.ndarray, bbox: BBox) -> Voronoi:
     return Voronoi(np.vstack([points, left, right, down, up]))
 
 
-def _cell_centroid(diagram: Voronoi, index: int) -> tuple[float, float]:
-    """Centroid of one bounded cell (for Lloyd relaxation)."""
-    region_index = diagram.point_region[index]
-    vertex_indices = diagram.regions[region_index]
-    ring = [Point(*diagram.vertices[v]) for v in vertex_indices]
-    centroid = Polygon(ring).centroid
-    return (centroid.x, centroid.y)
+def _voronoi_cells(
+    n_units: int, seed: int, bbox: BBox, lloyd_iterations: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, dict[int, frozenset[int]]]:
+    """Vertex coordinates, normalised ring rows, ring lengths and rook
+    adjacency of a Lloyd-relaxed bounded Voronoi tessellation."""
+    if n_units < 3:
+        raise GeometryError("voronoi tessellation needs at least 3 units")
+    rng = np.random.default_rng(seed)
+    points = np.column_stack(
+        [
+            rng.uniform(bbox.min_x, bbox.max_x, size=n_units),
+            rng.uniform(bbox.min_y, bbox.max_y, size=n_units),
+        ]
+    )
+    for _ in range(max(0, lloyd_iterations)):
+        diagram = _bounded_voronoi(points, bbox)
+        index, length = _voronoi_rings(diagram, n_units)
+        _, _, (area2, cx, cy) = _normalise_rings(diagram.vertices, index, length)
+        points = np.column_stack([cx / (3 * area2), cy / (3 * area2)])
+        points[:, 0] = points[:, 0].clip(bbox.min_x, bbox.max_x)
+        points[:, 1] = points[:, 1].clip(bbox.min_y, bbox.max_y)
+    diagram = _bounded_voronoi(points, bbox)
+    index, length = _voronoi_rings(diagram, n_units)
+    index, length, _ = _normalise_rings(diagram.vertices, index, length)
+    return (
+        diagram.vertices,
+        index,
+        length,
+        _ridge_adjacency(diagram.ridge_points, n_units),
+    )
+
+
+def _voronoi_rings(diagram: Voronoi, n_units: int) -> tuple[np.ndarray, np.ndarray]:
+    """Padded vertex-index rows (padding is vertex 0) and ring lengths
+    of the first *n_units* cells, which must all be bounded."""
+    regions = [diagram.regions[r] for r in diagram.point_region[:n_units].tolist()]
+    length = np.fromiter(map(len, regions), dtype=np.intp, count=n_units)
+    flat = np.fromiter(
+        itertools.chain.from_iterable(regions), dtype=np.intp, count=int(length.sum())
+    )
+    if length.min() == 0 or flat.min() < 0:
+        unit = next(i for i, ring in enumerate(regions) if not ring or -1 in ring)
+        raise GeometryError(
+            f"unbounded voronoi cell for unit {unit}; reflection failed"
+        )
+    index = np.zeros((n_units, int(length.max())), dtype=np.intp)
+    index[_columns(index) < length[:, None]] = flat
+    return index, length
+
+
+def _columns(index: np.ndarray) -> np.ndarray:
+    return np.arange(index.shape[1])
+
+
+def _ring_sums(
+    xy: np.ndarray, index: np.ndarray, length: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per ring, the shoelace sums ``Σ cross``, ``Σ (ax + bx) cross`` and
+    ``Σ (ay + by) cross`` over edges ``(a, b)``, where ``cross = ax by -
+    bx ay``. Each is accumulated edge by edge from the ring's first
+    vertex, the order of :class:`Polygon`'s area and centroid loops."""
+    columns = _columns(index)
+    valid = columns < length[:, None]
+    following = np.take_along_axis(
+        index, np.where(columns + 1 < length[:, None], columns + 1, 0), axis=1
+    )
+    ax, ay = xy[index, 0], xy[index, 1]
+    bx, by = xy[following, 0], xy[following, 1]
+    cross = ax * by - bx * ay
+    sx = (ax + bx) * cross
+    sy = (ay + by) * cross
+    area2, cx, cy = (np.zeros(len(index)) for _ in range(3))
+    for k in columns:
+        mask = valid[:, k]
+        np.add(area2, cross[:, k], out=area2, where=mask)
+        np.add(cx, sx[:, k], out=cx, where=mask)
+        np.add(cy, sy[:, k], out=cy, where=mask)
+    return area2, cx, cy
+
+
+def _normalise_rings(
+    xy: np.ndarray, index: np.ndarray, length: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Every check ``Polygon.__init__`` makes, on all rings at once.
+
+    Drops a repeated closing vertex, rejects rings with fewer than 3
+    vertices, reverses clockwise rings and rejects zero-area rings,
+    raising for the first offending ring as the per-cell loop would.
+    Returns the normalised rows and lengths plus the :func:`_ring_sums`
+    of the normalised rings.
+    """
+    rows = np.arange(len(index))
+    first, last = index[:, 0], index[rows, length - 1]
+    closed = (
+        (length >= 2) & (xy[first, 0] == xy[last, 0]) & (xy[first, 1] == xy[last, 1])
+    )
+    length = length - closed
+    sums = _ring_sums(xy, index, length)
+    clockwise = sums[0] / 2.0 < 0
+    if clockwise.any():
+        columns = _columns(index)
+        mirrored = np.where(
+            columns < length[:, None], length[:, None] - 1 - columns, columns
+        )
+        index = np.where(
+            clockwise[:, None], np.take_along_axis(index, mirrored, axis=1), index
+        )
+        sums = _ring_sums(xy, index, length)
+    short = length < 3
+    bad = short | (sums[0] / 2.0 == 0)
+    if bad.any():
+        offender = int(np.argmax(bad))
+        if short[offender]:
+            raise GeometryError(
+                "a polygon needs at least 3 distinct vertices, "
+                f"got {int(length[offender])}"
+            )
+        raise GeometryError("degenerate polygon with zero area")
+    return index, length, sums
+
+
+def _polygons(
+    xy: np.ndarray, index: np.ndarray, length: np.ndarray
+) -> tuple[Polygon, ...]:
+    """One :class:`Polygon` per normalised ring; cells that share a
+    vertex share its :class:`Point`."""
+    used = np.unique(index[_columns(index) < length[:, None]]).tolist()
+    points = dict(zip(used, itertools.starmap(Point, xy[used].tolist())))
+    lookup = points.__getitem__
+    return tuple(
+        Polygon._from_validated_ring(tuple(map(lookup, row[:k])))
+        for row, k in zip(index.tolist(), length.tolist())
+    )
+
+
+def _ridge_adjacency(
+    ridge_points: np.ndarray, n_units: int
+) -> dict[int, frozenset[int]]:
+    """Rook adjacency among the first *n_units* seeds, inserted in ridge
+    order (which fixes every neighbor set's iteration order)."""
+    inner = ridge_points[(ridge_points < n_units).all(axis=1)]
+    adjacency: dict[int, set[int]] = {i: set() for i in range(n_units)}
+    for a, b in inner.tolist():
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    return {i: frozenset(neighbors) for i, neighbors in adjacency.items()}

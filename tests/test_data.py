@@ -3,9 +3,15 @@
 from __future__ import annotations
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+
+import repro
 
 from repro.data import (
     DATASETS,
@@ -189,6 +195,11 @@ class TestDatasetRegistry:
         with pytest.raises(DatasetError, match="scale"):
             load_dataset("1k", scale=0)
 
+    @pytest.mark.parametrize("scale", [math.nan, math.inf, -math.inf])
+    def test_non_finite_scale_raises(self, scale):
+        with pytest.raises(DatasetError, match="finite"):
+            load_dataset("2k", scale=scale)
+
     def test_seed_override(self):
         a = load_dataset("1k", scale=0.05)
         b = load_dataset("1k", scale=0.05, seed=99)
@@ -197,3 +208,25 @@ class TestDatasetRegistry:
     def test_multi_state_scaled_keeps_components(self):
         collection = load_dataset("10k", scale=0.02)
         assert len(collection.connected_components()) == DATASETS["10k"].patches
+
+
+def test_dataset_load_leaves_scipy_stats_unimported():
+    """Generating a dataset must not pay for the scipy.stats import."""
+    src = Path(repro.__file__).resolve().parents[1]
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        part for part in (str(src), env.get("PYTHONPATH")) if part
+    )
+    script = (
+        "import sys, repro; repro.load_dataset('2k', scale=0.05); "
+        "print('scipy.stats' in sys.modules)"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", script],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"

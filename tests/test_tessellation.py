@@ -2,16 +2,20 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.contiguity import validate_adjacency
 from repro.exceptions import GeometryError
 from repro.geometry import (
     BBox,
+    Point,
+    Polygon,
     grid_tessellation,
     multi_patch_tessellation,
     voronoi_tessellation,
 )
+from repro.geometry.tessellation import _normalise_rings, _polygons
 
 
 class TestGridTessellation:
@@ -142,6 +146,19 @@ class TestMultiPatchTessellation:
         min_x_second = min(b.min_x for b in second)
         assert max_x_first < min_x_second
 
+    def test_bbox_is_union_of_patches(self):
+        tess = multi_patch_tessellation([30, 40], seed=1)
+        polygon_max_x = max(p.bbox.max_x for p in tess.polygons)
+        # The trailing inter-patch gap is not part of the box.
+        assert tess.bbox.max_x == pytest.approx(polygon_max_x, abs=1e-9)
+        assert tess.bbox.max_x == pytest.approx(30**0.5 * 1.25 + 40**0.5)
+        assert tess.bbox.max_y == pytest.approx(40**0.5)
+        assert (tess.bbox.min_x, tess.bbox.min_y) == (0.0, 0.0)
+        grown = tess.bbox.expanded(1e-9)
+        for polygon in tess.polygons:
+            assert grown.contains_point(Point(polygon.bbox.min_x, polygon.bbox.min_y))
+            assert grown.contains_point(Point(polygon.bbox.max_x, polygon.bbox.max_y))
+
 
 class TestHexTessellation:
     def test_cell_count(self):
@@ -201,3 +218,61 @@ class TestHexTessellation:
             enable_tabu=False,
         )
         assert solution.p >= 1
+
+
+class TestRingKernels:
+    """The array ring checks behave as ``Polygon.__init__`` does."""
+
+    @staticmethod
+    def _rings(*rings):
+        xy = np.array([v for ring in rings for v in ring], dtype=float)
+        width = max(len(ring) for ring in rings)
+        index = np.zeros((len(rings), width), dtype=np.intp)
+        start = 0
+        for row, ring in enumerate(rings):
+            index[row, : len(ring)] = np.arange(start, start + len(ring))
+            start += len(ring)
+        return xy, index, np.array([len(ring) for ring in rings])
+
+    def test_matches_polygon_constructor(self):
+        rings = [
+            [(0, 0), (1, 0), (1, 1), (0, 1)],  # counter-clockwise
+            [(0, 0), (0, 1), (1, 1), (1, 0)],  # clockwise: reversed
+            [(0, 0), (2, 0), (0, 2), (0, 0)],  # repeated closing vertex
+            [(0, 0), (0, 3), (3, 0), (0, 0)],  # clockwise and closed
+            [(0.1, 0.2), (1.7, 0.3), (2.2, 1.9), (1.0, 2.6), (-0.4, 1.1)],
+        ]
+        xy, index, length = self._rings(*rings)
+        index, length, (area2, cx, cy) = _normalise_rings(xy, index, length)
+        polygons = _polygons(xy, index, length)
+        for polygon, ring in zip(polygons, rings):
+            expected = Polygon(ring)
+            assert polygon == expected
+            assert polygon.bbox == expected.bbox
+        for row, ring in enumerate(rings):
+            centroid = Polygon(ring).centroid
+            assert cx[row] / (3 * area2[row]) == centroid.x
+            assert cy[row] / (3 * area2[row]) == centroid.y
+
+    def test_too_few_vertices_raise(self):
+        ring = [(0, 0), (1, 1), (0, 0)]
+        with pytest.raises(GeometryError, match="at least 3") as polygon_error:
+            Polygon(ring)
+        with pytest.raises(GeometryError) as kernel_error:
+            _normalise_rings(*self._rings([(0, 0), (1, 0), (0, 1)], ring))
+        assert str(kernel_error.value) == str(polygon_error.value)
+
+    def test_zero_area_raises(self):
+        ring = [(0, 0), (1, 1), (2, 2)]
+        with pytest.raises(GeometryError, match="zero area"):
+            Polygon(ring)
+        with pytest.raises(GeometryError, match="zero area"):
+            _normalise_rings(*self._rings([(0, 0), (1, 0), (0, 1)], ring))
+
+    def test_first_offending_ring_decides_the_error(self):
+        flat = [(0, 0), (1, 1), (2, 2)]
+        short = [(0, 0), (1, 1), (0, 0)]
+        with pytest.raises(GeometryError, match="zero area"):
+            _normalise_rings(*self._rings(flat, short))
+        with pytest.raises(GeometryError, match="at least 3"):
+            _normalise_rings(*self._rings(short, flat))
