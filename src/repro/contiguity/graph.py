@@ -41,7 +41,7 @@ def csr_adjacency(
     (indexes into the node order, not raw ids), each row sorted
     ascending. Neighbors outside the node set are dropped, so the CSR
     is exactly the dict-of-sets graph restricted to *nodes*. Plain
-    Python lists — the array backend converts them once; callers that
+    Python lists — the array core converts them once; callers that
     need ids back use :func:`neighbors_from_csr`.
     """
     node_order = list(nodes)

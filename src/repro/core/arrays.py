@@ -1,11 +1,11 @@
-"""Array-native solver core: the accelerated ``numpy`` backend state.
+"""Array-native solver core: the flat-array mirror of solver state.
 
 The object-graph hot paths (:class:`~repro.core.region.Region`,
 :class:`~repro.fact.state.SolutionState`) are exact but pure Python —
 fast enough at 2k areas, not at the 25k–50k registry datasets. This
 module holds the flat-array mirror of that state which the vectorized
-Tabu candidate scoring (:mod:`repro.fact.tabu`) batch-evaluates with
-numpy:
+Tabu candidate scoring (:mod:`repro.fact.tabu`) and the batched
+construction kernels (:mod:`repro.fact.growing`) evaluate with numpy:
 
 - :class:`CollectionArrays` — the **static** per-collection arrays,
   built once and cached weakly: CSR rook adjacency (``indptr`` /
@@ -22,165 +22,37 @@ numpy:
   every float accumulates in the identical order and the mirror stays
   **bit-identical** to the object graph.
 
-Backend selection mirrors the hot-path cache gate in
-:mod:`repro.core.perf`: a process-wide override installed by
-:func:`set_active_backend` (shipped to worker processes in the pool
-payload), else the ``REPRO_BACKEND`` environment variable, else
-auto-detection (numpy when importable). The pure-Python path remains
-the reference oracle — both backends must produce bit-identical
-partitions, certificates and objective values, which
-``python -m repro.bench micro`` and the backend-parity CI job assert.
+Every :class:`~repro.fact.state.SolutionState` builds the mirror. The
+kernels that read it dispatch on input size against their scalar
+counterparts (``_VECTOR_MIN_DONOR`` in :mod:`repro.fact.tabu`,
+``_VECTOR_MIN_BATCH`` in :mod:`repro.fact.growing`); both sides of
+each dispatch are bit-identical by contract.
 """
 
 from __future__ import annotations
 
-import os
 import weakref
 from typing import TYPE_CHECKING, Iterable
 
+import numpy as np
+
 from ..contiguity.graph import csr_adjacency
-from ..exceptions import InvalidConstraintError
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from .area import AreaCollection
 
-try:  # numpy is optional: without it the backend resolves to python.
-    import numpy as _numpy
-except ImportError:  # pragma: no cover - exercised via monkeypatch
-    _numpy = None
-
 __all__ = [
-    "BACKENDS",
-    "RESOLVED_BACKENDS",
     "UNASSIGNED",
     "EXCLUDED",
-    "numpy_available",
-    "numpy_version",
-    "validate_backend",
-    "backend_from_env",
-    "resolve_backend",
-    "set_active_backend",
-    "active_backend",
     "CollectionArrays",
     "collection_arrays",
     "ArrayState",
 ]
 
-# Environment knob consulted when the config leaves backend = "auto";
-# lets a whole test/CI run pin a backend without touching code.
-_BACKEND_ENV = "REPRO_BACKEND"
-
-# "auto" is a config-level request; it always resolves to one of
-# RESOLVED_BACKENDS before any state is built.
-BACKENDS = ("auto", "numpy", "python")
-RESOLVED_BACKENDS = ("numpy", "python")
-
 # Label-vector sentinels. Distinct so the flat vector alone encodes the
 # full partition including the feasibility-phase exclusions.
 UNASSIGNED = -1
 EXCLUDED = -2
-
-# None = defer to REPRO_BACKEND / auto-detection; otherwise a resolved
-# backend name installed process-wide by set_active_backend() (the
-# solver installs it for the duration of a solve, and the worker-pool
-# initializer replays it inside every worker process).
-_override: str | None = None
-
-
-def numpy_available() -> bool:
-    """True when numpy imported successfully in this process."""
-    return _numpy is not None
-
-
-def numpy_version() -> str | None:
-    """The imported numpy's version string, or ``None`` without numpy."""
-    return None if _numpy is None else str(_numpy.__version__)
-
-
-def validate_backend(value: str, *, resolved: bool = False) -> str:
-    """Return the canonical backend name or raise naming the options.
-
-    With ``resolved=True`` only ``"numpy"``/``"python"`` are accepted
-    (``"auto"`` must already have been resolved away).
-    """
-    allowed = RESOLVED_BACKENDS if resolved else BACKENDS
-    name = str(value).lower()
-    if name not in allowed:
-        raise InvalidConstraintError(
-            f"unknown backend {value!r}; expected one of "
-            + ", ".join(repr(option) for option in allowed)
-        )
-    return name
-
-
-def backend_from_env() -> str | None:
-    """The ``REPRO_BACKEND`` request, validated; ``None`` when unset.
-
-    An unknown value raises immediately with the allowed names — a
-    typo'd environment must not silently fall back to auto-detection.
-    """
-    raw = os.environ.get(_BACKEND_ENV, "").strip()
-    if not raw:
-        return None
-    return validate_backend(raw)
-
-
-def resolve_backend(requested: str = "auto") -> str:
-    """Resolve a config-level request to ``"numpy"`` or ``"python"``.
-
-    Precedence: an explicit config value beats ``REPRO_BACKEND``,
-    which beats auto-detection — the env var pins *unconfigured* runs
-    (the parity CI job, test sweeps) while an explicit
-    ``FaCTConfig(backend=...)`` stays authoritative, letting one
-    process compare both backends (the scaling benchmark does).
-    Requesting numpy without numpy importable is an error, not a
-    silent downgrade.
-    """
-    requested = validate_backend(requested)
-    if requested == "auto":
-        env = backend_from_env()
-        requested = env if env is not None and env != "auto" else "auto"
-    if requested == "auto":
-        return "numpy" if numpy_available() else "python"
-    if requested == "numpy" and not numpy_available():
-        raise InvalidConstraintError(
-            "backend 'numpy' requested but numpy is not importable; "
-            "use backend='python' or install numpy"
-        )
-    return requested
-
-
-def set_active_backend(backend: str | None) -> str | None:
-    """Install a process-wide resolved-backend override.
-
-    Returns the previous override so callers can restore it::
-
-        previous = set_active_backend(resolve_backend(config.backend))
-        try:
-            ...  # solve
-        finally:
-            set_active_backend(previous)
-
-    Pass ``None`` to fall back to env/auto resolution.
-    """
-    global _override
-    previous = _override
-    _override = (
-        None if backend is None else validate_backend(backend, resolved=True)
-    )
-    return previous
-
-
-def active_backend() -> str:
-    """The backend new solver states are built for, resolved.
-
-    The installed override when one is active (inside a solve, or in a
-    worker process initialized from the pool payload), else the
-    env/auto resolution.
-    """
-    if _override is not None:
-        return _override
-    return resolve_backend("auto")
 
 
 # ----------------------------------------------------------------------
@@ -197,7 +69,6 @@ class CollectionArrays:
     """
 
     __slots__ = (
-        "np",
         "ids",
         "index",
         "_dense_ids",
@@ -210,11 +81,6 @@ class CollectionArrays:
     )
 
     def __init__(self, collection: "AreaCollection"):
-        if _numpy is None:  # pragma: no cover - numpy is bundled in CI
-            raise InvalidConstraintError(
-                "CollectionArrays requires numpy (backend 'numpy')"
-            )
-        np = self.np = _numpy
         ids = list(collection.ids)
         self.ids = np.asarray(ids, dtype=np.int64)
         self.index = {area_id: i for i, area_id in enumerate(ids)}
@@ -263,10 +129,10 @@ class CollectionArrays:
     def positions(self, area_ids: Iterable[int]):
         """Dense positions of *area_ids* as an int64 array."""
         if self._dense_ids:
-            return self.np.asarray(list(area_ids), dtype=self.np.int64)
+            return np.asarray(list(area_ids), dtype=np.int64)
         index = self.index
-        return self.np.asarray(
-            [index[area_id] for area_id in area_ids], dtype=self.np.int64
+        return np.asarray(
+            [index[area_id] for area_id in area_ids], dtype=np.int64
         )
 
 
@@ -320,7 +186,6 @@ class ArrayState:
         tracked: Iterable[str] = (),
         excluded: Iterable[int] = (),
     ):
-        np = arrays.np
         self.arrays = arrays
         self.tracked = tuple(tracked)
         self.labels = np.full(len(arrays), UNASSIGNED, dtype=np.int64)
@@ -348,7 +213,6 @@ class ArrayState:
         capacity = len(self.region_count)
         if region_id < capacity:
             return
-        np = self.arrays.np
         while capacity <= region_id:
             capacity *= 2
         grown = np.zeros(capacity, dtype=np.int64)

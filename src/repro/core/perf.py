@@ -144,15 +144,16 @@ class PerfCounters:
         (one sorted-list insertion/deletion or coordinate-sum update
         per region mutation).
     vector_derives:
-        Tabu move-pool derivations answered by the numpy backend's
-        batch scorer (:mod:`repro.core.arrays`) instead of the scalar
-        per-candidate loop. Zero under the python backend.
+        Tabu move-pool derivations answered by the numpy batch scorer
+        (:mod:`repro.core.arrays`) instead of the scalar per-candidate
+        loop. Zero when every donor is below the vector-derive size
+        threshold.
     donor_cache_hits:
         Vector derives whose donor-side payload (candidate order, CSR
         gather geometry, donor feasibility, removal deltas) was reused
         from the membership-version-keyed cache — the donor was
         re-derived because a *neighboring* region changed, not its own
-        membership. Zero under the python backend.
+        membership. Zero when no vector derive ran.
     pool_task_failures:
         Worker-pool tasks that raised, returned an unpicklable result,
         or died with their worker (each failure is retried or degraded

@@ -47,6 +47,8 @@ from bisect import bisect_left, insort
 from itertools import accumulate
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from ..contiguity.graph import BlockCutIndex, block_cut_state, removable_set
 from ..exceptions import ContiguityError, InvalidAreaError
 from .aggregates import Aggregate, AggregateState
@@ -145,8 +147,8 @@ class Region:
         # derived caches keyed by (region id, version) — the Tabu
         # donor-side derive cache — survive neighbor-only dirtiness.
         self._version = 0
-        # Optional ArrayState sink (numpy backend): mirrored from the
-        # same call sites that update the scalar aggregates, so the
+        # Optional ArrayState sink (set by SolutionState): mirrored from
+        # the same call sites that update the scalar aggregates, so the
         # flat label/aggregate vectors accumulate in identical order.
         self._array_state = array_state
         self.perf = perf
@@ -634,14 +636,13 @@ class Region:
             prefix = self._prefix_d = list(accumulate(values, initial=0.0))
         return values, prefix
 
-    def _struct_arrays(self, np):
+    def _struct_arrays(self):
         """:meth:`_struct_views` as cached float64 ndarrays.
 
         The conversion is the expensive part of pricing a batch against
         this region, so the arrays persist until the next membership
         mutation (any :meth:`_struct_insert`/:meth:`_struct_remove`
-        drops them). *np* is passed in so this module keeps zero numpy
-        imports — only the vectorized Tabu scorer calls this.
+        drops them). Only the vector kernels call this.
         """
         cached = self._struct_np
         if cached is None:

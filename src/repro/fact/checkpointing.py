@@ -38,7 +38,7 @@ fault checkpoint; an injected ``fail`` there simulates dying exactly
 at the snapshot boundary.
 
 The file also carries a **fingerprint** of the problem (seed, phase
-shape, constraint strings, dataset size). Resuming against a different
+shape, Tabu stopping knobs, constraint strings, dataset size). Resuming against a different
 problem raises :class:`repro.exceptions.CheckpointError` instead of
 silently splicing mismatched results, and the consumed wall-clock is
 stored so a resumed deadline run only gets the time the original had
@@ -65,14 +65,18 @@ def _fingerprint(config, constraints, collection) -> dict:
     """The identity of one solve, as far as replay safety is concerned.
 
     Everything a recorded unit's result depends on (beyond its own
-    coordinates): the seed scheme, the phase shape and the problem
-    itself. Constraints compare by their canonical string forms.
+    coordinates): the seed scheme, the phase shape, the Tabu tenure
+    and stopping rules, and the problem itself. Constraints compare by
+    their canonical string forms.
     """
     return {
         "rng_seed": config.rng_seed,
         "construction_iterations": config.construction_iterations,
         "construction_retry_attempts": config.construction_retry_attempts,
         "tabu_portfolio": config.tabu_portfolio,
+        "tabu_tenure": config.tabu_tenure,
+        "tabu_max_no_improve": config.tabu_max_no_improve,
+        "tabu_max_iterations": config.tabu_max_iterations,
         "merge_limit": config.merge_limit,
         "pickup": config.pickup,
         "constraints": sorted(str(c) for c in constraints),

@@ -14,7 +14,6 @@ import os
 import random
 from dataclasses import dataclass, field
 
-from ..core.arrays import resolve_backend, validate_backend
 from ..exceptions import BudgetError, InvalidConstraintError
 
 __all__ = ["CertifyLevel", "FaCTConfig", "PickupCriterion"]
@@ -230,17 +229,6 @@ class FaCTConfig:
         Lease-renewal interval of the service worker executing this
         solve; must be positive and smaller than ``lease_seconds``
         when both are set. ``None`` (default) defers to the service.
-    backend:
-        Solver-core backend: ``"numpy"`` (flat-array state + batch
-        Tabu candidate scoring — see :mod:`repro.core.arrays`),
-        ``"python"`` (the pure-Python reference oracle), or ``"auto"``
-        (default: the ``REPRO_BACKEND`` environment variable when set,
-        else numpy when importable). Both backends produce
-        bit-identical partitions, objective values and certificates at
-        any ``n_jobs``; the choice only affects wall-clock. Unknown
-        values are rejected here at construction; the *resolved*
-        backend surfaces on ``EMPSolution.backend``, the solve report,
-        and the solve span's telemetry attributes.
     preflight:
         Run the :mod:`repro.preflight` gate (structure scan +
         per-constraint relaxation diagnosis) before construction. On
@@ -255,9 +243,9 @@ class FaCTConfig:
         shared budget, in ascending smallest-member-id order, then the
         labels are merged through the canonical
         :meth:`~repro.fact.state.SolutionState.from_labels` rebuild —
-        so the merged partition is bit-identical at any ``n_jobs`` and
-        backend. The final certificate carries per-component
-        provenance. Off by default (the classic solver already copes
+        so the merged partition is bit-identical at any ``n_jobs``.
+        The final certificate carries per-component provenance. Off
+        by default (the classic solver already copes
         with multi-component datasets by growing regions inside
         components); requires ``preflight``. Not compatible with
         checkpoint/resume — when a ``checkpoint_path`` is set the
@@ -289,14 +277,11 @@ class FaCTConfig:
     checkpoint_keep_on_complete: bool = False
     lease_seconds: float | None = None
     heartbeat_seconds: float | None = None
-    backend: str = "auto"
     preflight: bool = True
     decompose_components: bool = False
 
     def __post_init__(self) -> None:
         self.pickup = PickupCriterion.validate(self.pickup)
-        # Reject unknown backends at construction, not deep in a solve.
-        self.backend = validate_backend(self.backend)
         for name in (
             "rng_seed",
             "construction_iterations",
@@ -434,15 +419,6 @@ class FaCTConfig:
                 f"lease={self.lease_seconds!r}); a heartbeat that cannot "
                 "outrun its own lease guarantees spurious lease expiry"
             )
-
-    def resolved_backend(self) -> str:
-        """The effective solver-core backend: ``"numpy"``/``"python"``.
-
-        Resolution order: an explicit :attr:`backend` value, else the
-        ``REPRO_BACKEND`` environment variable, else numpy when
-        importable (see :func:`repro.core.arrays.resolve_backend`).
-        """
-        return resolve_backend(self.backend)
 
     def certify_level(self) -> str:
         """The effective certification level: the explicit

@@ -36,6 +36,8 @@ from __future__ import annotations
 import random
 from typing import Sequence
 
+import numpy as np
+
 from ..core.constraints import Constraint, ConstraintSet
 from ..core.perf import hotpath_caches_enabled
 from ..core.region import Region
@@ -131,25 +133,20 @@ def _classify_area(
 
 
 def _batch_arrays(state: SolutionState):
-    """The flat-array mirror when batch construction is allowed.
+    """The flat-array mirror's static arrays when batch construction
+    is allowed.
 
-    Mirrors the Tabu move pool's dispatch: the numpy backend must be
-    resolved (``FaCTConfig.backend`` through ``state.backend``), the
-    mirror built, and the hot-path cache gate on — the uncached
-    reference path stays the scalar loop. Returns ``None`` otherwise.
+    Mirrors the Tabu move pool's dispatch: the hot-path cache gate
+    must be on — the uncached reference path stays the scalar loop.
+    Returns ``None`` otherwise.
     """
-    astate = state.array_state
-    if (
-        astate is None
-        or state.backend != "numpy"
-        or not hotpath_caches_enabled()
-    ):
+    if not hotpath_caches_enabled():
         return None
-    return astate.arrays
+    return state.array_state.arrays
 
 
 class _AvgClasses:
-    """Area → AVG-range class, batch-precomputed on the numpy backend.
+    """Area → AVG-range class, batch-precomputed off the array mirror.
 
     An area's class depends only on its own attributes and the
     constraint bounds — never on solver state — so the vector path
@@ -172,7 +169,6 @@ class _AvgClasses:
         arrays = _batch_arrays(state)
         if arrays is None or not avgs:
             return
-        np = arrays.np
         n = len(arrays.index)
         codes = np.zeros(n, dtype=np.int8)
         undecided = np.ones(n, dtype=bool)
@@ -295,9 +291,8 @@ def _pick_growth_area(
     if config.pickup == PickupCriterion.RANDOM:
         return rng.choice(candidates)
     if arrays is not None and len(candidates) >= _VECTOR_MIN_BATCH:
-        np = arrays.np
         d = arrays.dissimilarity[arrays.positions(candidates)]
-        values, prefix = region._struct_arrays(np)
+        values, prefix = region._struct_arrays()
         k = values.searchsorted(d, side="left")
         below_sum = prefix[k]
         above_sum = prefix[-1] - below_sum
@@ -336,7 +331,6 @@ def _opposite_extreme_neighbors(
     below = running_average < violated.lower
     frontier = state.unassigned_neighbors(region)
     if arrays is not None and len(frontier) >= _VECTOR_MIN_BATCH:
-        np = arrays.np
         values = arrays.attributes[violated.attribute][
             arrays.positions(frontier)
         ]

@@ -4,7 +4,7 @@ One :class:`SolverPool` is created per :meth:`FaCT.solve` call when
 ``n_jobs > 1`` and lives across *all* parallel stages of that call —
 every construction pass of every retry attempt, then every Tabu
 portfolio member. The heavy, immutable payload (area collection,
-constraint set, excluded areas, config, resolved backend) is shipped to each worker
+constraint set, excluded areas, config) is shipped to each worker
 process exactly once, through the executor's *initializer*; individual
 task submissions then carry only the per-task scalars (a seed, a label
 snapshot, a deadline). This replaces the earlier scheme of pickling the
@@ -32,7 +32,6 @@ import time
 from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
-from ..core import arrays as arrays_mod
 from ..core.area import AreaCollection
 from ..core.constraints import ConstraintSet
 from ..core.perf import PerfCounters
@@ -45,21 +44,14 @@ from .state import SolutionState
 __all__ = ["SolverPool"]
 
 # The per-process payload installed by the pool initializer. One tuple
-# (collection, constraints, excluded, config, backend) per worker
-# process.
+# (collection, constraints, excluded, config) per worker process.
 _WORKER_CONTEXT: tuple | None = None
 
 
 def _init_worker(payload: tuple) -> None:
-    """Executor initializer: install the solve's shared payload.
-
-    Also pins the parent's resolved hot-path backend in this worker
-    process, so parallel stages run the same (bit-identical) code path
-    regardless of the worker environment's own ``REPRO_BACKEND``.
-    """
+    """Executor initializer: install the solve's shared payload."""
     global _WORKER_CONTEXT
     _WORKER_CONTEXT = payload
-    arrays_mod.set_active_backend(payload[4])
 
 
 def _worker_context() -> tuple:
@@ -106,7 +98,7 @@ def construction_pass_task(
     from .construction import _score_key
     from .growing import grow_regions
 
-    collection, constraints, excluded, config = _worker_context()[:4]
+    collection, constraints, excluded, config = _worker_context()
     if config_override is not None:
         config = config_override
     state = SolutionState(collection, constraints, excluded=excluded)
@@ -167,7 +159,7 @@ def portfolio_member_task(
     """
     from .tabu import tabu_improve
 
-    collection, constraints, excluded, config = _worker_context()[:4]
+    collection, constraints, excluded, config = _worker_context()
     state = SolutionState.from_labels(
         collection, constraints, labels, excluded=excluded
     )
@@ -239,7 +231,6 @@ class SolverPool:
             constraints,
             frozenset(excluded),
             config,
-            arrays_mod.active_backend(),
         )
         self._max_workers = max(1, int(max_workers))
         self._executor: ProcessPoolExecutor | None = None
@@ -467,12 +458,10 @@ class SolverPool:
         global _WORKER_CONTEXT
         previous = _WORKER_CONTEXT
         _WORKER_CONTEXT = self._payload
-        previous_backend = arrays_mod.set_active_backend(self._payload[4])
         try:
             return task(*args)
         finally:
             _WORKER_CONTEXT = previous
-            arrays_mod.set_active_backend(previous_backend)
 
     def shutdown(self) -> None:
         """Tear the executor down without waiting on cancelled work."""

@@ -79,7 +79,6 @@ def format_solution_report(
             f"  status: {solution.status.value} — best-so-far result "
             "(run was cut short by its budget)"
         )
-    lines.append(f"  backend: {solution.backend}")
     lines.append(f"  regions (p): {solution.p}")
     lines.append(f"  unassigned areas (|U0|): {solution.n_unassigned}")
     if collection is not None:

@@ -39,7 +39,6 @@ import time
 from dataclasses import dataclass, field, replace
 
 from ..certify import Certificate, certify_partition
-from ..core import arrays as arrays_mod
 from ..core.area import AreaCollection
 from ..core.constraints import Constraint, ConstraintSet
 from ..core.partition import Partition
@@ -174,12 +173,6 @@ class EMPSolution:
         ``"paranoid"`` — always a *valid* one, since an invalid
         certification raises instead of returning. ``None`` with
         certification off.
-    backend:
-        The resolved hot-path backend the run executed under —
-        ``"numpy"`` (vectorized array state) or ``"python"`` (scalar
-        reference path). Both produce bit-identical partitions; the
-        name is recorded so reports and bench artifacts can attribute
-        timings. Defaults to ``"python"`` for hand-built solutions.
     preflight:
         The :class:`repro.preflight.PreflightReport` of the gate run
         before construction (``None`` with ``config.preflight`` off).
@@ -201,7 +194,6 @@ class EMPSolution:
     attempts: tuple[ConstructionAttempt, ...] = ()
     perf: PerfCounters | None = None
     certificate: Certificate | None = None
-    backend: str = "python"
     preflight: PreflightReport | None = None
     provenance: tuple[ComponentProvenance, ...] = ()
 
@@ -271,7 +263,6 @@ class EMPSolution:
             "p": self.p,
             "n_unassigned": self.n_unassigned,
             "status": self.status.value,
-            "backend": self.backend,
             "heterogeneity_before": round(self.heterogeneity_before, 3),
             "heterogeneity_after": round(self.heterogeneity, 3),
             "improvement": round(self.improvement, 4),
@@ -391,12 +382,6 @@ class FaCT:
                 )
 
             previous_listener = set_fault_listener(_on_fault)
-        # Install the resolved backend for the whole solve — every
-        # SolutionState built below (serial phases, pool payload for
-        # worker processes, portfolio members) sees the same one.
-        previous_backend = arrays_mod.set_active_backend(
-            config.resolved_backend()
-        )
         try:
             return self._solve_traced(
                 collection, constraints, budget, resume_from, telemetry
@@ -407,7 +392,6 @@ class FaCT:
             telemetry.close(status="error")
             raise
         finally:
-            arrays_mod.set_active_backend(previous_backend)
             if telemetry.enabled:
                 set_fault_listener(previous_listener)
 
@@ -421,7 +405,6 @@ class FaCT:
     ) -> EMPSolution:
         config = self.config
         constraints = _coerce_constraints(constraints)
-        backend = arrays_mod.active_backend()
 
         # Resilience bookkeeping for this solve: the checkpoint ledger
         # (crash recovery) and the counters for pool faults and
@@ -456,7 +439,6 @@ class FaCT:
             "solve",
             seed=config.rng_seed,
             n_jobs=config.n_jobs,
-            backend=backend,
             resumed=resume_from is not None,
         ) as solve_span:
             phase_started = time.perf_counter()
@@ -656,7 +638,6 @@ class FaCT:
             attempts=attempts,
             perf=perf,
             certificate=certificate,
-            backend=backend,
             preflight=preflight,
             provenance=provenance,
         )
@@ -823,8 +804,8 @@ class FaCT:
         provenance. The merged labels are rebuilt through the
         canonical :meth:`SolutionState.from_labels` — regions
         renumbered by smallest member id, areas inserted ascending —
-        so the merged partition is bit-identical at any ``n_jobs``
-        and on both backends, exactly like single-component solves.
+        so the merged partition is bit-identical at any ``n_jobs``,
+        exactly like single-component solves.
         """
         config = self.config
         tracer = telemetry.tracer

@@ -94,19 +94,16 @@ class SolutionState:
         # Captured once per state: flipping the gate mid-life would
         # desynchronize incrementally maintained structures.
         self._use_indexes = hotpath_caches_enabled()
-        # Backend, also captured once: under "numpy" every region this
-        # state creates mirrors its mutations into the flat-array state
-        # the vectorized Tabu scorer batch-reads. The mirror is written
-        # from the same Region call sites that update the scalar
-        # aggregates, so both views accumulate bit-identically.
-        self.backend = arrays_mod.active_backend()
-        self._array_state: arrays_mod.ArrayState | None = None
-        if self.backend == "numpy":
-            self._array_state = arrays_mod.ArrayState(
-                arrays_mod.collection_arrays(collection),
-                self.tracked,
-                excluded=self.excluded,
-            )
+        # Every region this state creates mirrors its mutations into
+        # the flat-array state the vector kernels batch-read. The
+        # mirror is written from the same Region call sites that
+        # update the scalar aggregates, so both views accumulate
+        # bit-identically.
+        self._array_state = arrays_mod.ArrayState(
+            arrays_mod.collection_arrays(collection),
+            self.tracked,
+            excluded=self.excluded,
+        )
         # region id -> {adjacent non-member area -> #member neighbors}
         self._border: dict[int, dict[int, int]] = {}
         # region id -> {adjacent region id -> #shared boundary edges}
@@ -131,8 +128,8 @@ class SolutionState:
         return len(self.regions)
 
     @property
-    def array_state(self) -> "arrays_mod.ArrayState | None":
-        """The flat-array mirror (numpy backend), else ``None``."""
+    def array_state(self) -> arrays_mod.ArrayState:
+        """The flat-array mirror the vector kernels read."""
         return self._array_state
 
     def region_of(self, area_id: int) -> Region | None:
@@ -287,11 +284,11 @@ class SolutionState:
         """Assert the indexes and the array mirror match rederivations.
 
         O(n · degree) — a test/debug aid, never called on hot paths.
-        Raises ``AssertionError`` on any divergence. Under the numpy
-        backend this also validates the flat-array state (labels
-        vector vs region membership, aggregate vectors vs recomputed
-        sums), so backend drift is caught at the first divergent
-        mutation instead of at certification.
+        Raises ``AssertionError`` on any divergence. This also
+        validates the flat-array state (labels vector vs region
+        membership, aggregate vectors vs recomputed sums), so mirror
+        drift is caught at the first divergent mutation instead of at
+        certification.
         """
         self._check_array_state()
         if not self._use_indexes:
@@ -332,11 +329,9 @@ class SolutionState:
 
     def _check_array_state(self) -> None:
         """Assert the array mirror matches the object graph exactly."""
-        astate = self._array_state
-        if astate is None:
-            return
         import math
 
+        astate = self._array_state
         arrays = astate.arrays
         for area_id, position in arrays.index.items():
             label = int(astate.labels[position])

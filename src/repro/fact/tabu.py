@@ -45,6 +45,8 @@ from dataclasses import dataclass, field
 from heapq import heappop, heappush
 from random import Random
 
+import numpy as np
+
 from ..core.aggregates import Aggregate
 from ..core.partition import Partition
 from ..obs.spans import NULL_TRACER
@@ -104,14 +106,14 @@ _PAIR_MASK = (1 << _PAIR_SHIFT) - 1
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
-# Donors smaller than this take the scalar derive even under the numpy
-# backend: the vector path pays a fixed per-derive cost (CSR gather,
-# pair dedup, kernel dispatch) that only amortizes once the donor
-# boundary yields a few dozen candidate pairs. Both paths are
-# bit-identical by contract, so this is purely a dispatch heuristic —
-# small-region workloads (many tiny regions) run at scalar speed, the
-# scaling benchmark's 250+-area regions always vectorize. Tests
-# monkeypatch this to 0 to force the vector path on small fixtures.
+# Donors smaller than this take the scalar derive: the vector path
+# pays a fixed per-derive cost (CSR gather, pair dedup, kernel
+# dispatch) that only amortizes once the donor boundary yields a few
+# dozen candidate pairs. Both paths are bit-identical by contract, so
+# this is purely a dispatch heuristic — small-region workloads (many
+# tiny regions) run at scalar speed, the scaling benchmark's
+# 250+-area regions always vectorize. Tests monkeypatch this to force
+# either path on any fixture.
 _VECTOR_MIN_DONOR = 32
 
 # In-search progress cadence: offer a `progress` event every this many
@@ -314,10 +316,7 @@ class _MovePool:
         # uncached reference path stays the scalar oracle. Both paths
         # produce identical move dicts in identical insertion order.
         self._vector = (
-            self._indexed
-            and state.backend == "numpy"
-            and state.array_state is not None
-            and type(objective) is HeterogeneityObjective
+            self._indexed and type(objective) is HeterogeneityObjective
         )
         self._heap: list[tuple[float, int, int, int, int]] = []
         self._stamp: dict[int, int] = {}
@@ -367,12 +366,12 @@ class _MovePool:
         """All valid moves donating one of *donor*'s boundary areas to
         an adjacent region, with their heterogeneity deltas.
 
-        Dispatches to the numpy batch scorer when the backend allows
+        Dispatches to the numpy batch scorer when the pool allows it
         and the donor is large enough to amortize the vector path's
-        fixed overhead (``_VECTOR_MIN_DONOR``); the scalar loop is the
-        reference path. Identical output either way — same keys, same
+        fixed overhead (``_VECTOR_MIN_DONOR``); the scalar loop serves
+        small donors. Identical output either way — same keys, same
         deltas (bit for bit), same insertion order — so the heap index
-        and the tabu trajectory cannot tell the backends apart.
+        and the tabu trajectory cannot tell the two kernels apart.
         """
         if self._vector and len(donor) >= _VECTOR_MIN_DONOR:
             return self._derive_moves_vector(donor)
@@ -436,7 +435,6 @@ class _MovePool:
             return moves
         astate = state.array_state
         arrays = astate.arrays
-        np = arrays.np
         perf = state.perf
         perf.vector_derives += 1
         donor_id = donor.region_id
@@ -448,7 +446,7 @@ class _MovePool:
             payload = cached[1]
             perf.donor_cache_hits += 1
         else:
-            payload = self._donor_payload(donor, arrays, np)
+            payload = self._donor_payload(donor, arrays)
             self._donor_cache[donor_id] = (donor._version, payload)
         if payload is None:
             return moves
@@ -482,7 +480,7 @@ class _MovePool:
         # Receiver-side feasibility over every pair at once (off the
         # flat per-region aggregate vectors), then pricing in one small
         # batch per adjacent region.
-        ok = self._receiver_feasible_all(recv, pair_idx, np)
+        ok = self._receiver_feasible_all(recv, pair_idx)
         kept = np.nonzero(ok)[0]
         priced = len(kept)
         deltas = np.empty(len(own), dtype=np.float64)
@@ -504,7 +502,7 @@ class _MovePool:
             ):
                 rows = sorted_rows[start:end]
                 receiver = regions[receiver_id]
-                r_values, r_prefix = receiver._struct_arrays(np)
+                r_values, r_prefix = receiver._struct_arrays()
                 d_rows = dissimilarity[pair_idx[rows]]
                 r_rank = r_values.searchsorted(d_rows, side="left")
                 r_below = r_prefix[r_rank]
@@ -526,7 +524,7 @@ class _MovePool:
             moves[(cand_ids[o], r)] = delta
         return moves
 
-    def _donor_payload(self, donor: Region, arrays, np):
+    def _donor_payload(self, donor: Region, arrays):
         """Donor-membership-only intermediates of the vector derive.
 
         Returns ``(cand_ids, cand_idx, nbr_cols, owner, donor_ok,
@@ -565,12 +563,12 @@ class _MovePool:
         )
 
         # Donor-side feasibility, vectorized over the candidates.
-        donor_ok = self._donor_feasible_vector(donor, cand_idx, np)
+        donor_ok = self._donor_feasible_vector(donor, cand_idx)
 
         # Donor-side delta: -(sum_j |d - d_j|) off the maintained
         # sorted/prefix structure — the batch form of
         # Region.heterogeneity_delta_remove.
-        values_arr, prefix_arr = donor._struct_arrays(np)
+        values_arr, prefix_arr = donor._struct_arrays()
         d_cand = arrays.dissimilarity[cand_idx]
         rank = values_arr.searchsorted(d_cand, side="left")
         below = prefix_arr[rank]
@@ -581,7 +579,7 @@ class _MovePool:
         )
         return (cand_ids, cand_idx, nbr_cols, owner, donor_ok, remove_delta)
 
-    def _donor_feasible_vector(self, donor: Region, cand_idx, np):
+    def _donor_feasible_vector(self, donor: Region, cand_idx):
         """Elementwise ``satisfies_after_remove`` over the candidates.
 
         The batch form of the scalar per-constraint loop: SUM/AVG are
@@ -636,7 +634,7 @@ class _MovePool:
                 ok &= value <= constraint.upper
         return ok
 
-    def _receiver_feasible_all(self, recv, pair_idx, np):
+    def _receiver_feasible_all(self, recv, pair_idx):
         """Elementwise ``satisfies_after_add`` over every (candidate,
         receiver) pair at once.
 
@@ -687,7 +685,7 @@ class _MovePool:
                 else:  # MIN / MAX
                     if uniq is None:
                         uniq = np.unique(recv, return_inverse=True)
-                    extrema = self._receiver_extrema(constraint, uniq, np)
+                    extrema = self._receiver_extrema(constraint, uniq)
                     if aggregate == Aggregate.MIN:
                         value = np.minimum(extrema, vals)
                     else:
@@ -698,7 +696,7 @@ class _MovePool:
                 ok &= value <= constraint.upper
         return ok
 
-    def _receiver_extrema(self, constraint, uniq, np):
+    def _receiver_extrema(self, constraint, uniq):
         """Each pair's receiver-side cached MIN/MAX aggregate, gathered
         once per unique receiver (receivers per donor boundary are
         few). *uniq* is ``np.unique(recv, return_inverse=True)``."""

@@ -64,12 +64,24 @@ def _load_bench(bench_path: str | None) -> dict | None:
         return None
 
 
+def scaling_row(block: dict) -> dict | None:
+    """The solve row of one BENCH_scaling.json dataset block.
+
+    Current files carry it under ``"run"``; files written while the
+    solver had selectable backends carry one row per backend under
+    ``"backends"``, of which the ``"numpy"`` row is the array core
+    every solve now runs."""
+    row = block.get("run")
+    if row is None:
+        row = (block.get("backends") or {}).get("numpy")
+    return row if isinstance(row, dict) else None
+
+
 def bench_profile(
     n_areas: int | None,
-    backend: str = "numpy",
     bench_path: str | None = None,
 ) -> dict | None:
-    """The BENCH_scaling.json backend row nearest *n_areas*
+    """The BENCH_scaling.json solve row nearest *n_areas*
     (``{construction_seconds, tabu_seconds, wall_seconds, ...}``), or
     ``None`` when the bench file or a usable row is missing."""
     bench = _load_bench(bench_path)
@@ -79,8 +91,7 @@ def bench_profile(
     best_gap = None
     for entry in (bench.get("datasets") or {}).values():
         size = entry.get("n_areas")
-        backends = entry.get("backends") or {}
-        row = backends.get(backend) or next(iter(backends.values()), None)
+        row = scaling_row(entry)
         if size is None or row is None:
             continue
         gap = abs(int(size) - int(n_areas))
@@ -98,13 +109,12 @@ def _normalize(weights: dict) -> dict:
 
 def calibrate_weights(
     n_areas: int | None,
-    backend: str = "numpy",
     bench_path: str | None = None,
 ) -> dict:
     """Phase weights ``{phase: share of wall}`` for a solve of
     *n_areas* areas, calibrated from BENCH_scaling.json when present
-    (nearest dataset size, per backend), else :data:`DEFAULT_WEIGHTS`."""
-    row = bench_profile(n_areas, backend=backend, bench_path=bench_path)
+    (nearest dataset size), else :data:`DEFAULT_WEIGHTS`."""
+    row = bench_profile(n_areas, bench_path=bench_path)
     if row is None:
         return dict(DEFAULT_WEIGHTS)
     construction = float(row.get("construction_seconds") or 0.0)
@@ -123,8 +133,7 @@ def calibrate_weights(
 
 def weights_for_spec(spec: dict | None) -> dict:
     """Calibrated weights for a service job spec (dataset name + scale
-    resolve to an area count via the dataset registry; the configured
-    backend picks the bench column)."""
+    resolve to an area count via the dataset registry)."""
     spec = spec or {}
     n_areas = None
     try:
@@ -134,8 +143,7 @@ def weights_for_spec(spec: dict | None) -> dict:
         n_areas = max(1, int(entry.n_areas * float(spec.get("scale") or 1.0)))
     except Exception:
         n_areas = None
-    backend = (spec.get("config") or {}).get("backend") or "numpy"
-    return calibrate_weights(n_areas, backend=str(backend))
+    return calibrate_weights(n_areas)
 
 
 def _base_phase(phase: str) -> str:

@@ -87,6 +87,7 @@ _FLEET_HELP = {
     "service_cancellations_total": "Jobs finalized CANCELLED.",
     "service_dead_total": "Jobs dead-lettered.",
     "service_heartbeats_total": "Lease renewals journaled.",
+    "service_rejected_submits_total": "Journaled submits replay could not parse (job dropped).",
     "service_stalled_jobs": "Active jobs currently classified stalled.",
     "service_lease_age_seconds": "Oldest active lease's age (now - last renewal).",
     "service_queue_oldest_seconds": "Age of the oldest queued job.",
@@ -298,6 +299,7 @@ class ServiceAPI:
             "cancellations",
             "dead",
             "heartbeats",
+            "rejected_submits",
         ):
             registry.counter(f"service_{name}_total").set_to(stats[name])
         now = self.store.clock()

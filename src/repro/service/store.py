@@ -42,7 +42,7 @@ import threading
 import time
 import uuid
 
-from ..exceptions import JobError
+from ..exceptions import JobError, ReproError
 from ..runtime.atomic import append_line, atomic_write_text
 from ..runtime.faults import fire_checkpoint
 from ..runtime.retry import RetryPolicy
@@ -120,6 +120,7 @@ class JobStore:
             "cancellations": 0,
             "dead": 0,
             "heartbeats": 0,
+            "rejected_submits": 0,
         }
         self._solve_durations: list[float] = []
         self._queue_waits: list[float] = []
@@ -189,8 +190,13 @@ class JobStore:
         if kind == "submit":
             try:
                 spec = JobSpec.from_dict(record.get("spec") or {})
-            except JobError:
-                return  # journal written by an incompatible version
+            except (ReproError, TypeError, ValueError):
+                # A spec this version no longer accepts (say, a config
+                # option that was removed): the job cannot be rebuilt,
+                # so its later transitions fold into nothing. Count it
+                # so the loss shows on the fleet metrics.
+                self._fleet["rejected_submits"] += 1
+                return
             self._seq += 1
             self._jobs[job_id] = Job(
                 job_id=job_id,

@@ -10,11 +10,16 @@ Provides small deterministic worlds the tests reason about exactly:
 - ``line5`` — a 5-area path graph (articulation-point scenarios).
 - ``tiny_census`` / ``small_census`` — synthetic census datasets of 30
   and 200 tracts for integration tests.
+- ``kernel_path`` — runs a test once with every size dispatch of the
+  array core forced scalar and once forced vector (see
+  :func:`forced_kernels`).
 """
 
 from __future__ import annotations
 
 import signal
+import sys
+from contextlib import contextmanager
 
 import pytest
 
@@ -127,3 +132,45 @@ def tiny_census() -> AreaCollection:
 def small_census() -> AreaCollection:
     """200 synthetic census tracts (session-scoped: read-only)."""
     return synthetic_census(200, seed=12)
+
+
+KERNEL_PATHS = ("scalar", "vector")
+
+
+@contextmanager
+def forced_kernels(path: str):
+    """Pin every size dispatch of the array core to one side.
+
+    The solver picks scalar or numpy kernels by input size
+    (``_VECTOR_MIN_DONOR`` for the Tabu move derive,
+    ``_VECTOR_MIN_BATCH`` for the construction batches). ``"scalar"``
+    raises both thresholds out of reach and keeps ``_AvgClasses`` on its
+    per-query path; ``"vector"`` drops both thresholds to 0 so every
+    input takes the numpy kernel. Both sides must give bit-identical
+    answers. Pool workers started fresh (spawn) miss the patches, so
+    forced-path solves run with ``n_jobs=1``.
+    """
+    from repro.fact import growing, tabu
+
+    if path not in KERNEL_PATHS:
+        raise ValueError(f"unknown kernel path {path!r}")
+    threshold = sys.maxsize if path == "scalar" else 0
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tabu, "_VECTOR_MIN_DONOR", threshold)
+        patch.setattr(growing, "_VECTOR_MIN_BATCH", threshold)
+        if path == "scalar":
+            batched_init = growing._AvgClasses.__init__
+
+            def per_query_init(self, state, avgs):
+                batched_init(self, state, avgs)
+                self._codes = None
+
+            patch.setattr(growing._AvgClasses, "__init__", per_query_init)
+        yield path
+
+
+@pytest.fixture(params=KERNEL_PATHS)
+def kernel_path(request):
+    """Run the test once per kernel path; yields the path name."""
+    with forced_kernels(request.param) as path:
+        yield path

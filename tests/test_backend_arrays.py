@@ -1,20 +1,18 @@
-"""The array backend against its pure-Python reference oracle.
+"""The array core against the object graph it mirrors.
 
-Four property families:
+Three property families:
 
 - **CSR round-trip** — ``csr_adjacency`` / ``neighbors_from_csr``
   must be exact inverses on any induced subgraph, and the CSR view
   must drive the contiguity primitives (articulation points,
   removable sets) to the same verdicts as the dict-of-sets graph;
-- **canonical rebuild** — ``SolutionState.from_labels`` under the
-  numpy backend must produce bit-identical flat arrays regardless of
-  the label values used to describe the partition;
-- **backend selection** — config/env validation must fail loudly
-  naming the allowed values, and the precedence (explicit config >
-  ``REPRO_BACKEND`` > auto-detection) must hold;
+- **canonical rebuild** — ``SolutionState.from_labels`` must produce
+  bit-identical flat arrays regardless of the label values used to
+  describe the partition, and ``check_indexes`` must catch a
+  corrupted array mirror at the first divergence;
 - **solve bit-identity** — a full solve must produce the identical
-  partition under both backends, and ``check_indexes`` must catch a
-  corrupted array mirror at the first divergence.
+  partition with every size dispatch forced to the scalar kernels,
+  forced to the vector kernels, and left at its default thresholds.
 """
 
 from __future__ import annotations
@@ -30,24 +28,15 @@ from repro.contiguity.graph import (
     neighbors_from_csr,
     removable_set,
 )
+import numpy as np
+
 from repro.core import ConstraintSet, min_constraint, sum_constraint
-from repro.core import arrays as arrays_mod
+from repro.core.perf import hotpath_caches_enabled
 from repro.data import schema, synthetic_census
-from repro.exceptions import InvalidConstraintError
 from repro.fact import FaCT, FaCTConfig
 from repro.fact.state import SolutionState
 
-needs_numpy = pytest.mark.skipif(
-    not arrays_mod.numpy_available(), reason="numpy not importable"
-)
-
-
-@pytest.fixture
-def restore_backend():
-    """Restore the process-wide backend override after a test."""
-    previous = arrays_mod.set_active_backend(None)
-    yield
-    arrays_mod.set_active_backend(previous)
+from conftest import KERNEL_PATHS, forced_kernels
 
 
 def _constraints() -> ConstraintSet:
@@ -160,75 +149,15 @@ class TestCsrRoundTrip:
 
 
 # ----------------------------------------------------------------------
-# backend selection and validation
-# ----------------------------------------------------------------------
-class TestBackendSelection:
-    def test_unknown_backend_names_the_options(self):
-        with pytest.raises(InvalidConstraintError) as excinfo:
-            arrays_mod.validate_backend("fortran")
-        message = str(excinfo.value)
-        for option in ("'auto'", "'numpy'", "'python'"):
-            assert option in message
-
-    def test_validation_is_case_insensitive(self):
-        assert arrays_mod.validate_backend("NumPy") == "numpy"
-
-    def test_resolved_validation_rejects_auto(self):
-        with pytest.raises(InvalidConstraintError) as excinfo:
-            arrays_mod.validate_backend("auto", resolved=True)
-        assert "'numpy', 'python'" in str(excinfo.value)
-
-    def test_env_typo_fails_loudly(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "nmupy")
-        with pytest.raises(InvalidConstraintError) as excinfo:
-            arrays_mod.backend_from_env()
-        assert "nmupy" in str(excinfo.value)
-        assert "'python'" in str(excinfo.value)
-
-    def test_env_unset_or_blank_means_none(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        assert arrays_mod.backend_from_env() is None
-        monkeypatch.setenv("REPRO_BACKEND", "  ")
-        assert arrays_mod.backend_from_env() is None
-
-    def test_explicit_config_beats_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert arrays_mod.resolve_backend("python") == "python"
-        if arrays_mod.numpy_available():
-            assert arrays_mod.resolve_backend("numpy") == "numpy"
-
-    def test_env_beats_auto_detection(self, monkeypatch):
-        monkeypatch.setenv("REPRO_BACKEND", "python")
-        assert arrays_mod.resolve_backend("auto") == "python"
-        assert FaCTConfig(backend="auto").resolved_backend() == "python"
-
-    def test_config_rejects_unknown_backend_at_construction(self):
-        with pytest.raises(InvalidConstraintError):
-            FaCTConfig(backend="bogus")
-
-    def test_override_round_trip(self, restore_backend, monkeypatch):
-        monkeypatch.delenv("REPRO_BACKEND", raising=False)
-        previous = arrays_mod.set_active_backend("python")
-        assert arrays_mod.active_backend() == "python"
-        arrays_mod.set_active_backend(previous)
-        with pytest.raises(InvalidConstraintError):
-            arrays_mod.set_active_backend("auto")
-
-
-# ----------------------------------------------------------------------
 # canonical rebuild parity
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestFromLabelsArrayParity:
-    def test_rebuild_is_invariant_to_label_values(
-        self, restore_backend, tiny_census
-    ):
+    def test_rebuild_is_invariant_to_label_values(self, tiny_census):
         """Two label snapshots describing the same partition under
         different label values must rebuild into bit-identical flat
         arrays (the canonicalization contract of ``from_labels``)."""
-        arrays_mod.set_active_backend("numpy")
         constraints = _constraints()
-        solution = FaCT(FaCTConfig(rng_seed=3, backend="numpy")).solve(
+        solution = FaCT(FaCTConfig(rng_seed=3)).solve(
             tiny_census, constraints
         )
         labels = solution.partition.labels()
@@ -243,8 +172,6 @@ class TestFromLabelsArrayParity:
             tiny_census, constraints, shuffled
         )
         astate_a, astate_b = state_a.array_state, state_b.array_state
-        assert astate_a is not None and astate_b is not None
-        np = astate_a.arrays.np
         assert np.array_equal(astate_a.labels, astate_b.labels)
         assert np.array_equal(
             astate_a.region_count, astate_b.region_count
@@ -259,31 +186,23 @@ class TestFromLabelsArrayParity:
         state_a.check_indexes()
         state_b.check_indexes()
 
-    def test_check_indexes_catches_corrupted_labels(
-        self, restore_backend, tiny_census
-    ):
-        arrays_mod.set_active_backend("numpy")
+    def test_check_indexes_catches_corrupted_labels(self, tiny_census):
         state = SolutionState(tiny_census, _constraints())
         region = state.new_region()
         seed = sorted(state.unassigned)[0]
         state.assign(seed, region)
         astate = state.array_state
-        assert astate is not None
         state.check_indexes()
         astate.labels[astate.arrays.index[seed]] = 99
         with pytest.raises(AssertionError, match="label vector"):
             state.check_indexes()
 
-    def test_check_indexes_catches_corrupted_sums(
-        self, restore_backend, tiny_census
-    ):
-        arrays_mod.set_active_backend("numpy")
+    def test_check_indexes_catches_corrupted_sums(self, tiny_census):
         state = SolutionState(tiny_census, _constraints())
         region = state.new_region()
         for area_id in sorted(state.unassigned)[:3]:
             state.assign(area_id, region)
         astate = state.array_state
-        assert astate is not None
         state.check_indexes()
         name = astate.tracked[0]
         astate.region_sums[name][region.region_id] += 1.0
@@ -294,56 +213,43 @@ class TestFromLabelsArrayParity:
 # ----------------------------------------------------------------------
 # whole-solve bit-identity
 # ----------------------------------------------------------------------
-@needs_numpy
-class TestSolveBitIdentity:
-    @pytest.mark.parametrize("vector_min_donor", [None, 0])
-    def test_backends_produce_identical_partitions(
-        self, monkeypatch, vector_min_donor
-    ):
-        """Bit-identity at the default dispatch cutoff AND with the
-        vector path forced on every donor (the small fixture regions
-        would otherwise all take the scalar path under both
-        backends, proving nothing about the vector kernels)."""
-        from repro.fact import tabu as tabu_mod
+def _solve_shape(collection, constraints):
+    solution = FaCT(FaCTConfig(rng_seed=7, n_jobs=1)).solve(
+        collection, constraints
+    )
+    outcome = (
+        solution.partition.labels(),
+        solution.p,
+        repr(solution.heterogeneity),
+    )
+    return outcome, solution.perf.as_dict().get("vector_derives", 0)
 
-        if vector_min_donor is not None:
-            monkeypatch.setattr(
-                tabu_mod, "_VECTOR_MIN_DONOR", vector_min_donor
-            )
+
+class TestSolveBitIdentity:
+    @pytest.mark.parametrize("dispatch", ["default", "vector"])
+    def test_kernel_paths_produce_identical_partitions(self, dispatch):
+        """Every dispatch forced scalar must land on the same answer as
+        the default thresholds and as every dispatch forced vector. The
+        small fixture regions would otherwise all take the scalar
+        derive, proving nothing about the vector kernels."""
         collection = synthetic_census(60, seed=11)
         constraints = _constraints()
-        results = {}
-        for backend in ("python", "numpy"):
-            solution = FaCT(
-                FaCTConfig(rng_seed=7, backend=backend)
-            ).solve(collection, constraints)
-            assert solution.backend == backend
-            assert solution.summary()["backend"] == backend
-            results[backend] = (
-                solution.partition.labels(),
-                solution.p,
-                solution.heterogeneity,
-            )
-            if backend == "numpy" and solution.perf is not None:
-                from repro.core.perf import hotpath_caches_enabled
-
-                derives = solution.perf.as_dict().get("vector_derives", 0)
-                if vector_min_donor == 0 and hotpath_caches_enabled():
-                    # forced: the kernels must actually have run
-                    assert derives > 0
-                elif vector_min_donor == 0:
-                    # uncached reference runs (REPRO_DISABLE_HOTPATH_
-                    # CACHES=1) stay scalar by design — the identity
-                    # assertion below is the whole test then
-                    assert derives == 0
-                else:
-                    # default cutoff: tiny donors all stay scalar
-                    assert derives == 0
-        assert results["python"] == results["numpy"]
-
-    def test_auto_resolves_and_reports(self, restore_backend):
-        collection = synthetic_census(30, seed=5)
-        solution = FaCT(FaCTConfig(rng_seed=1)).solve(
-            collection, _constraints()
-        )
-        assert solution.backend in arrays_mod.RESOLVED_BACKENDS
+        with forced_kernels("scalar"):
+            scalar, scalar_derives = _solve_shape(collection, constraints)
+        if dispatch == "vector":
+            with forced_kernels("vector"):
+                outcome, derives = _solve_shape(collection, constraints)
+        else:
+            outcome, derives = _solve_shape(collection, constraints)
+        assert outcome == scalar
+        assert scalar[1] > 1
+        assert scalar_derives == 0
+        if dispatch == "default":
+            # Default cutoff: tiny donors all stay scalar.
+            assert derives == 0
+        elif hotpath_caches_enabled():
+            # Forced: the vector kernels must actually have run.
+            assert derives > 0
+        else:
+            # The uncached reference run stays scalar by design.
+            assert derives == 0

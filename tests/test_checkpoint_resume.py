@@ -104,6 +104,28 @@ class TestLedgerRefusals:
                 resume_from=config.checkpoint_path,
             )
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [
+            ("tabu_tenure", 1),
+            ("tabu_max_no_improve", 2),
+            ("tabu_max_iterations", 1),
+        ],
+    )
+    def test_changed_tabu_knob_refuses_resume(
+        self, tiny_census, constraints, tmp_path, key, value
+    ):
+        # Each knob steers the Tabu trajectory: replaying units recorded
+        # under the old value would return the old run's answer.
+        config = _config(tmp_path, checkpoint_keep_on_complete=True)
+        FaCT(config).solve(tiny_census, constraints)
+        assert os.path.exists(config.checkpoint_path)
+        with pytest.raises(CheckpointError, match=key):
+            FaCT(_config(tmp_path, **{key: value})).solve(
+                tiny_census, constraints,
+                resume_from=config.checkpoint_path,
+            )
+
 
 class TestCheckpointLifecycle:
     def test_complete_solve_deletes_its_checkpoint(self, tiny_census,

@@ -23,7 +23,6 @@ import random
 import pytest
 
 from repro.core import ConstraintSet, min_constraint, sum_constraint
-from repro.core import arrays
 from repro.core.heterogeneity import (
     pairwise_absolute_deviation,
     pairwise_absolute_deviation_naive,
@@ -41,20 +40,6 @@ def gate():
     """Restore the hot-path cache gate after a test flips it."""
     yield set_hotpath_caches
     set_hotpath_caches(True)
-
-
-@pytest.fixture(params=["python", "numpy"])
-def backend(request):
-    """Pin the solver-core backend for the duration of a test.
-
-    Under ``"numpy"`` every state built inside the test carries the
-    flat-array mirror, so ``check_indexes()`` validates the arrays
-    against the object graph after every mutation."""
-    if request.param == "numpy" and not arrays.numpy_available():
-        pytest.skip("numpy not importable")
-    previous = arrays.set_active_backend(request.param)
-    yield request.param
-    arrays.set_active_backend(previous)
 
 
 def _random_world(seed: int, rows: int = 6, cols: int = 6):
@@ -143,10 +128,12 @@ def _random_mutations(state: SolutionState, rng: random.Random, steps: int):
 
 class TestIncrementalHeterogeneity:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_random_mutations_match_naive_oracle(self, seed, backend):
+    def test_random_mutations_match_naive_oracle(self, seed):
+        # Every state carries the flat-array mirror, so check_indexes()
+        # also validates the arrays against the object graph after
+        # every mutation.
         collection = _random_world(seed)
         state = SolutionState(collection, ConstraintSet())
-        assert state.backend == backend
         rng = random.Random(1000 + seed)
         for _ in _random_mutations(state, rng, steps=60):
             _check_all_regions(state)

@@ -4,7 +4,7 @@ Covers the three layers — raw-input lint, structure scan, per-
 constraint infeasibility diagnosis — plus the solver integration:
 disconnected geographies solve end to end via component decomposition
 with per-component provenance, bit-identically at any worker count and
-on both backends, and provably infeasible instances are rejected
+on both kernel paths, and provably infeasible instances are rejected
 *before* the construction phase ever starts.
 """
 
@@ -26,11 +26,10 @@ from repro import (
     run_preflight,
     sum_constraint,
 )
-from repro.core.arrays import numpy_available
 from repro.data import schema, synthetic_census
 from repro.preflight import scan_structure
 
-BACKENDS = ["python"] + (["numpy"] if numpy_available() else [])
+from conftest import KERNEL_PATHS, forced_kernels
 
 
 def island_collection():
@@ -337,23 +336,22 @@ class TestSolverIntegration:
         assert plain.provenance == ()
         assert len(split.provenance) == 3
 
-    @pytest.mark.parametrize("backend", BACKENDS)
-    def test_decomposed_bit_identical_across_jobs_and_backends(
-        self, backend
-    ):
+    @pytest.mark.parametrize("path", KERNEL_PATHS)
+    def test_decomposed_bit_identical_across_jobs(self, path):
+        """The serial solve runs wholly on the forced kernel path;
+        pooled solves run their parent-side work on it (workers started
+        fresh miss the patch). Every worker count must agree."""
         collection = island_collection()
         constraints = island_constraints()
         results = []
-        for n_jobs in (1, 2, 4):
-            solution = FaCT(
-                FaCTConfig(
-                    rng_seed=11,
-                    n_jobs=n_jobs,
-                    decompose_components=True,
-                    backend=backend,
-                )
-            ).solve(collection, constraints)
-            results.append(solution)
+        with forced_kernels(path):
+            for n_jobs in (1, 2, 4):
+                solution = FaCT(
+                    FaCTConfig(
+                        rng_seed=11, n_jobs=n_jobs, decompose_components=True
+                    )
+                ).solve(collection, constraints)
+                results.append(solution)
         labels = [s.partition.labels() for s in results]
         assert labels[0] == labels[1] == labels[2]
         assert (
@@ -370,19 +368,20 @@ class TestSolverIntegration:
                 entry.pop("seconds")  # wall-clock, legitimately varies
         assert provenance[0] == provenance[1] == provenance[2]
 
-    def test_both_backends_agree_on_decomposed_labels(self):
-        if len(BACKENDS) < 2:
-            pytest.skip("only one backend available")
+    def test_kernel_paths_agree_on_decomposed_labels(self):
         collection = island_collection()
         constraints = island_constraints()
-        labels = [
-            FaCT(
-                FaCTConfig(
-                    rng_seed=11, decompose_components=True, backend=backend
+        outcomes = []
+        for path in KERNEL_PATHS:
+            with forced_kernels(path):
+                solution = FaCT(
+                    FaCTConfig(rng_seed=11, decompose_components=True)
+                ).solve(collection, constraints)
+            outcomes.append(
+                (
+                    solution.partition.labels(),
+                    solution.p,
+                    repr(solution.heterogeneity),
                 )
             )
-            .solve(collection, constraints)
-            .partition.labels()
-            for backend in BACKENDS
-        ]
-        assert labels[0] == labels[1]
+        assert outcomes[0] == outcomes[1]

@@ -52,6 +52,12 @@ class TestDispatch:
         )
         assert status == 400 and "max_attemps" in payload["error"]
 
+    def test_submit_rejects_removed_backend_option(self, api):
+        status, payload = api.dispatch(
+            "POST", "/jobs", {}, {"config": {"backend": "numpy"}}
+        )
+        assert status == 400 and "backend" in payload["error"]
+
     def test_list_filters_by_state(self, api):
         api.dispatch("POST", "/jobs", {}, dict(SPEC))
         status, payload = api.dispatch(
@@ -319,6 +325,15 @@ class TestMetricsEndpoints:
         assert "repro_service_queue_wait_seconds_count" in text
         assert 'repro_service_phase_seconds_count{phase="tabu"} 1.0' in text
         assert "# HELP repro_service_jobs" in text
+
+    def test_fleet_metrics_export_rejected_submits(self, api, store):
+        stale = {"v": 1, "ts": 0.0, "kind": "submit", "job": "j-stale",
+                 "spec": dict(SPEC, config={"backend": "numpy"})}
+        with open(f"{store.root}/journal.jsonl", "a") as handle:
+            handle.write(json.dumps(stale) + "\n")
+        _, text, _ = api.dispatch("GET", "/metrics", {}, None)
+        assert "repro_service_rejected_submits_total 1.0" in text
+        assert "# HELP repro_service_rejected_submits_total" in text
 
     def test_status_payload_carries_health(self, api, store):
         from repro.service.api import health_sweep

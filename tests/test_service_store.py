@@ -315,6 +315,25 @@ class TestJournalRecovery:
         assert sum(1 for p in parsed if p is None) == 1  # just the torn line
         assert store.get(job.job_id).state == JobState.LEASED
 
+    def test_unparseable_submit_is_counted_not_silently_dropped(
+        self, store, clock
+    ):
+        kept = store.submit(spec(label="kept"))
+        # A submit journaled with a config option this version no
+        # longer accepts, followed by a transition of that job.
+        stale = {"v": 1, "ts": clock(), "kind": "submit", "job": "j-stale",
+                 "spec": dict(spec().as_dict(), config={"backend": "numpy"})}
+        lease = {"v": 1, "ts": clock(), "kind": "transition",
+                 "job": "j-stale", "state": JobState.LEASED}
+        with open(os.path.join(store.root, "journal.jsonl"), "a") as handle:
+            handle.write(json.dumps(stale) + "\n")
+            handle.write(json.dumps(lease) + "\n")
+        replayed = JobStore(store.root, clock=clock)
+        assert replayed.fleet_stats()["rejected_submits"] == 1
+        assert replayed.get(kept.job_id).state == JobState.QUEUED
+        with pytest.raises(JobError):
+            replayed.get("j-stale")
+
 
 @pytest.mark.chaos
 class TestChaos:
