@@ -3,7 +3,6 @@ behind the ``benchmarks/`` pytest suite and ``python -m
 repro.bench.report``."""
 
 from .journal import RunJournal
-from .micro import run_micro
 from .runner import (
     ExperimentRow,
     bench_cell_deadline,
@@ -32,7 +31,6 @@ __all__ = [
     "format_range",
     "run_emp",
     "run_maxp",
-    "run_micro",
     "table3_rows",
     "table4_rows",
     "use_journal",

@@ -2,11 +2,10 @@
 
 Subcommands:
 
-- ``micro``  — hot-path cache microbenchmark (:mod:`repro.bench.micro`);
-  verifies cached vs uncached solver output is bit-identical and
-  reports the speedup. ``micro --objective`` checks the incremental
-  objective engine and the Tabu portfolio's worker-count invariance;
-  ``micro --profile`` prints a cProfile breakdown of one solve.
+- ``micro``  — scaling and profiling harness (:mod:`repro.bench.micro`):
+  ``micro --scaling`` solves the registry sweep and grades its hot-path
+  counters against a baseline; ``micro --profile`` prints a cProfile
+  breakdown of one solve.
 - ``report`` — full paper-table/figure report run
   (:mod:`repro.bench.report`, also runnable directly as
   ``python -m repro.bench.report``).
@@ -21,8 +20,7 @@ from . import micro, report
 _USAGE = """usage: python -m repro.bench <command> [options]
 
 commands:
-  micro    hot-path cache microbenchmark (cached vs uncached);
-           --objective for the incremental-objective/portfolio checks,
+  micro    --scaling for the registry scaling sweep,
            --profile for a cProfile breakdown
   report   generate EXPERIMENTS.md tables and figures
 

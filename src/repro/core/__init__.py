@@ -24,7 +24,7 @@ from .heterogeneity import (
     total_heterogeneity,
 )
 from .partition import UNASSIGNED, Partition
-from .perf import PerfCounters, hotpath_caches_enabled, set_hotpath_caches
+from .perf import PerfCounters
 from .region import Region
 
 __all__ = [
@@ -41,13 +41,11 @@ __all__ = [
     "UNASSIGNED",
     "avg_constraint",
     "count_constraint",
-    "hotpath_caches_enabled",
     "improvement_ratio",
     "max_constraint",
     "min_constraint",
     "pairwise_absolute_deviation",
     "region_heterogeneity",
-    "set_hotpath_caches",
     "sum_constraint",
     "total_heterogeneity",
 ]

@@ -1,88 +1,29 @@
-"""Hot-path instrumentation: performance counters and the cache gate.
+"""Hot-path instrumentation: performance counters.
 
 The FaCT phases spend almost all their wall-clock answering two kinds
 of queries — "may this area leave its region?" (contiguity) and "what
 borders this region?" (frontier/adjacency). Both are served by
 incremental caches (:meth:`repro.core.region.Region.removable_areas`,
-the indexes inside :class:`repro.fact.state.SolutionState`). This
-module provides:
+the indexes inside :class:`repro.fact.state.SolutionState`).
+:class:`PerfCounters` is a lightweight mutable struct counting cache
+hits, rebuilds, full graph traversals and candidate evaluations, plus
+named wall-clock timings. One instance is owned by each
+``SolutionState`` and surfaces on :class:`repro.fact.solver.
+EMPSolution` and in the benchmark harness.
 
-- :class:`PerfCounters` — a lightweight mutable struct counting cache
-  hits, rebuilds, full graph traversals and candidate evaluations,
-  plus named wall-clock timings. One instance is owned by each
-  ``SolutionState`` and surfaces on :class:`repro.fact.solver.
-  EMPSolution` and in the microbenchmark harness.
-- the **hot-path cache gate** — a process-wide switch that forces
-  every cached query back onto its recompute-everything reference
-  path. Both paths return *identical* results (the benchmark harness
-  and CI assert this bit-for-bit); the gate exists so the reference
-  path stays executable, comparable and honest forever.
-
-Set ``REPRO_DISABLE_HOTPATH_CACHES=1`` (or call
-:func:`set_hotpath_caches`) to run uncached.
+The recompute-from-scratch reference semantics of every cached query
+live in ``tests/oracles/hotpath_reference.py``; the test suite replays
+the cached paths against them and asserts bit-identical answers.
 """
 
 from __future__ import annotations
 
-import os
 from contextlib import contextmanager
 from time import perf_counter
 
 from ..obs.metrics import MetricsRegistry
 
-__all__ = [
-    "PerfCounters",
-    "hotpath_caches_enabled",
-    "set_hotpath_caches",
-]
-
-_CACHES_ENV = "REPRO_DISABLE_HOTPATH_CACHES"
-_FALSEY = ("", "0", "false", "no", "off")
-
-# None = defer to the environment variable; True/False = explicit
-# process-wide override installed by set_hotpath_caches().
-_override: bool | None = None
-
-# The environment default is read once at import: the gate sits on
-# paths hot enough (every region mutation and cached query) that the
-# repeated os.environ lookup was measurable. In-process flips go
-# through set_hotpath_caches(), which still takes effect immediately;
-# the env var is process-launch configuration (workers inherit it and
-# re-read it at their own import).
-_env_enabled = os.environ.get(_CACHES_ENV, "").strip().lower() in _FALSEY
-
-
-def hotpath_caches_enabled() -> bool:
-    """True when the incremental oracle and state indexes are active.
-
-    Defaults to True; disabled by ``REPRO_DISABLE_HOTPATH_CACHES`` (any
-    value other than 0/false/no/off, sampled at process start) or a
-    :func:`set_hotpath_caches` override. Structures consult this at
-    *query* time, so results stay correct even when the gate is
-    flipped mid-run — a disabled query simply recomputes from scratch,
-    and a re-enabled one rebuilds its (invalidated-on-write) cache.
-    """
-    if _override is not None:
-        return _override
-    return _env_enabled
-
-
-def set_hotpath_caches(enabled: bool | None) -> bool | None:
-    """Install a process-wide cache override; returns the previous one.
-
-    Pass ``None`` to fall back to the environment variable. Intended
-    for the benchmark harness and tests::
-
-        previous = set_hotpath_caches(False)
-        try:
-            ...  # reference (uncached) run
-        finally:
-            set_hotpath_caches(previous)
-    """
-    global _override
-    previous = _override
-    _override = enabled
-    return previous
+__all__ = ["PerfCounters"]
 
 
 class PerfCounters:
@@ -113,20 +54,23 @@ class PerfCounters:
         disconnection, overlong mutation log) and a full DFS ran
         instead. Always ≤ ``oracle_rebuilds``.
     graph_traversals:
-        Full passes over a region's induced subgraph (BFS connectivity
-        checks, component scans, articulation passes) — the quantity
-        the oracle exists to minimize.
+        Full passes over a region's induced subgraph — the full
+        Hopcroft–Tarjan/component oracle rebuilds, the quantity the
+        incremental oracle exists to minimize. (The reference
+        semantics in ``tests/oracles/hotpath_reference.py`` count one
+        per contiguity query.)
     full_bfs_checks:
         Contiguity checks that were answered by running a full BFS
-        over the region (as opposed to an O(1) oracle lookup). On the
-        uncached reference path every check is one; with the oracle
-        only a check that itself triggers the lazy rebuild counts.
+        over the region (as opposed to an O(1) oracle lookup): only a
+        check that itself triggers the lazy oracle rebuild counts.
+        (The reference semantics in
+        ``tests/oracles/hotpath_reference.py`` run one BFS per check.)
     candidate_evaluations:
         Candidate moves examined by Step-3 adjustment and the Tabu
         move-pool derivation.
     frontier_queries / adjacency_queries:
         Region-frontier and region-adjacency lookups served by the
-        ``SolutionState`` indexes (or their scan fallbacks).
+        ``SolutionState`` indexes.
     index_updates:
         Incremental index maintenance operations (one per area
         assignment change; O(degree) each).
@@ -137,8 +81,9 @@ class PerfCounters:
         vector.
     delta_recompute:
         Delta queries that had to (re)build the sorted structure from
-        scratch — the first query of a fresh region, or every query on
-        the uncached reference path.
+        scratch — the first query of a fresh region. (The reference
+        semantics in ``tests/oracles/hotpath_reference.py`` re-sort on
+        every query.)
     objective_struct_updates:
         Incremental maintenance operations on the objective structures
         (one sorted-list insertion/deletion or coordinate-sum update

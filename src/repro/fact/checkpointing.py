@@ -38,11 +38,11 @@ fault checkpoint; an injected ``fail`` there simulates dying exactly
 at the snapshot boundary.
 
 The file also carries a **fingerprint** of the problem (seed, phase
-shape, Tabu stopping knobs, constraint strings, dataset size). Resuming against a different
-problem raises :class:`repro.exceptions.CheckpointError` instead of
-silently splicing mismatched results, and the consumed wall-clock is
-stored so a resumed deadline run only gets the time the original had
-left.
+shape, construction and Tabu knobs, objective, constraint strings,
+dataset size). Resuming against a different problem raises
+:class:`repro.exceptions.CheckpointError` instead of silently splicing
+mismatched results, and the consumed wall-clock is stored so a resumed
+deadline run only gets the time the original had left.
 """
 
 from __future__ import annotations
@@ -61,13 +61,15 @@ __all__ = ["SolveLedger"]
 _FORMAT = "repro-solve-checkpoint/1"
 
 
-def _fingerprint(config, constraints, collection) -> dict:
+def _fingerprint(config, constraints, collection, objective=None) -> dict:
     """The identity of one solve, as far as replay safety is concerned.
 
     Everything a recorded unit's result depends on (beyond its own
-    coordinates): the seed scheme, the phase shape, the Tabu tenure
-    and stopping rules, and the problem itself. Constraints compare by
-    their canonical string forms.
+    coordinates): the seed scheme, the phase shape, the construction
+    knobs that change its outcome, the Tabu tenure and stopping rules,
+    the objective Tabu minimizes (by class name; ``None`` is the
+    default heterogeneity objective) and the problem itself.
+    Constraints compare by their canonical string forms.
     """
     return {
         "rng_seed": config.rng_seed,
@@ -79,6 +81,13 @@ def _fingerprint(config, constraints, collection) -> dict:
         "tabu_max_iterations": config.tabu_max_iterations,
         "merge_limit": config.merge_limit,
         "pickup": config.pickup,
+        "strict_avg_feasibility": config.strict_avg_feasibility,
+        "degenerate_unassigned_ratio": config.degenerate_unassigned_ratio,
+        "objective": (
+            "HeterogeneityObjective"
+            if objective is None
+            else type(objective).__name__
+        ),
         "constraints": sorted(str(c) for c in constraints),
         "n_areas": len(collection),
     }
@@ -115,18 +124,20 @@ class SolveLedger:
     # ------------------------------------------------------------------
     @classmethod
     def fresh(cls, path, config, constraints, collection,
-              keep_on_complete: bool = False) -> "SolveLedger":
+              keep_on_complete: bool = False,
+              objective=None) -> "SolveLedger":
         """Start a new ledger for this solve (any stale file at *path*
         is superseded by the first write)."""
         return cls(
             path,
-            _fingerprint(config, constraints, collection),
+            _fingerprint(config, constraints, collection, objective),
             keep_on_complete=keep_on_complete,
         )
 
     @classmethod
     def load(cls, path, config, constraints, collection,
-             keep_on_complete: bool = False) -> "SolveLedger":
+             keep_on_complete: bool = False,
+             objective=None) -> "SolveLedger":
         """Load a ledger to resume from; validates format and
         fingerprint.
 
@@ -152,7 +163,7 @@ class SolveLedger:
                 f"{payload.get('format') if isinstance(payload, dict) else None!r}"
                 f" (expected {_FORMAT!r})"
             )
-        expected = _fingerprint(config, constraints, collection)
+        expected = _fingerprint(config, constraints, collection, objective)
         found = payload.get("fingerprint")
         if found != expected:
             # Name both sides of every mismatched key: "the file says

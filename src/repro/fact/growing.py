@@ -39,7 +39,6 @@ from typing import Sequence
 import numpy as np
 
 from ..core.constraints import Constraint, ConstraintSet
-from ..core.perf import hotpath_caches_enabled
 from ..core.region import Region
 from ..obs.spans import NULL_TRACER
 from .config import FaCTConfig, PickupCriterion
@@ -132,19 +131,6 @@ def _classify_area(
     return _CLASS_AVG
 
 
-def _batch_arrays(state: SolutionState):
-    """The flat-array mirror's static arrays when batch construction
-    is allowed.
-
-    Mirrors the Tabu move pool's dispatch: the hot-path cache gate
-    must be on — the uncached reference path stays the scalar loop.
-    Returns ``None`` otherwise.
-    """
-    if not hotpath_caches_enabled():
-        return None
-    return state.array_state.arrays
-
-
 class _AvgClasses:
     """Area → AVG-range class, batch-precomputed off the array mirror.
 
@@ -166,9 +152,9 @@ class _AvgClasses:
         self._avgs = avgs
         self._codes = None
         self._index = None
-        arrays = _batch_arrays(state)
-        if arrays is None or not avgs:
+        if not avgs:
             return
+        arrays = state.array_state.arrays
         n = len(arrays.index)
         codes = np.zeros(n, dtype=np.int8)
         undecided = np.ones(n, dtype=bool)
@@ -247,7 +233,7 @@ def _merge_off_range_seeds(
 ) -> None:
     """Algorithm 1 — grow each off-range seed into a valid region by
     absorbing unassigned opposite-extreme neighbors."""
-    arrays = _batch_arrays(state)
+    arrays = state.array_state.arrays
     for seed_id in off_range:
         if budget is not None:
             budget.checkpoint("construction.grow.seed")
@@ -290,7 +276,7 @@ def _pick_growth_area(
         return candidates[0]
     if config.pickup == PickupCriterion.RANDOM:
         return rng.choice(candidates)
-    if arrays is not None and len(candidates) >= _VECTOR_MIN_BATCH:
+    if len(candidates) >= _VECTOR_MIN_BATCH:
         d = arrays.dissimilarity[arrays.positions(candidates)]
         values, prefix = region._struct_arrays()
         k = values.searchsorted(d, side="left")
@@ -317,7 +303,7 @@ def _opposite_extreme_neighbors(
     state: SolutionState,
     region: Region,
     violated: Constraint,
-    arrays=None,
+    arrays,
 ) -> list[int]:
     """Unassigned neighbors whose value lies beyond the *opposite*
     bound of the violated AVG constraint (Algorithm 1, line 18).
@@ -330,7 +316,7 @@ def _opposite_extreme_neighbors(
     running_average = region.constraint_value(violated)
     below = running_average < violated.lower
     frontier = state.unassigned_neighbors(region)
-    if arrays is not None and len(frontier) >= _VECTOR_MIN_BATCH:
+    if len(frontier) >= _VECTOR_MIN_BATCH:
         values = arrays.attributes[violated.attribute][
             arrays.positions(frontier)
         ]

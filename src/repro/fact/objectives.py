@@ -26,7 +26,6 @@ import copy
 from abc import ABC, abstractmethod
 from typing import Sequence
 
-from ..core.perf import hotpath_caches_enabled
 from ..core.region import Region
 from ..exceptions import DatasetError
 from .state import SolutionState
@@ -116,14 +115,13 @@ class CompactnessObjective(Objective):
     p-compact-regions family. Maintained per region as running sums
     (Σx, Σy, Σx², Σy², g), giving O(1) totals and move deltas.
 
-    With the hot-path cache gate off
-    (:func:`repro.core.perf.hotpath_caches_enabled`) the maintained
-    sums are ignored and every total/delta recomputes the coordinate
-    sums from the live region membership — the reference path. The two
-    paths agree to float accumulation order (the incremental path adds
-    and subtracts terms the recompute path re-sums fresh), so
-    comparisons belong at ``pytest.approx`` tolerance, unlike the
-    heterogeneity structure whose two paths are bit-identical.
+    The reference semantics — every total/delta recomputing the
+    coordinate sums from the live region membership — live in
+    ``tests/oracles/hotpath_reference.py``. The two agree to float
+    accumulation order (the incremental path adds and subtracts terms
+    the recompute re-sums fresh), so comparisons belong at
+    ``pytest.approx`` tolerance, unlike the heterogeneity structure
+    whose reference is bit-identical.
 
     Requires every area to carry a polygon (centroids come from the
     geometry); raises :class:`DatasetError` otherwise.
@@ -165,25 +163,21 @@ class CompactnessObjective(Objective):
         return [sx, sy, sxx, syy, float(count)]
 
     def _region_sums(self, region: Region) -> list[float]:
-        """Maintained sums when the gate is on; fresh recompute (in
-        sorted member order, for determinism) when it is off."""
+        """The region's maintained sums."""
         perf = self._state.perf
-        if hotpath_caches_enabled():
-            sums = self._sums.get(region.region_id)
-            if sums is None:
-                # A region created after attach (construction-time use
-                # of the objective) enters the maintained map lazily.
-                sums = self._sums[region.region_id] = self._sums_of(
-                    sorted(region.area_ids)
-                )
-                if perf is not None:
-                    perf.delta_recompute += 1
-            elif perf is not None:
-                perf.delta_fastpath += 1
-            return sums
-        if perf is not None:
-            perf.delta_recompute += 1
-        return self._sums_of(sorted(region.area_ids))
+        sums = self._sums.get(region.region_id)
+        if sums is None:
+            # A region created after attach (construction-time use of
+            # the objective) enters the maintained map lazily, summed
+            # in sorted member order for determinism.
+            sums = self._sums[region.region_id] = self._sums_of(
+                sorted(region.area_ids)
+            )
+            if perf is not None:
+                perf.delta_recompute += 1
+        elif perf is not None:
+            perf.delta_fastpath += 1
+        return sums
 
     @staticmethod
     def _score(sums: Sequence[float]) -> float:
@@ -193,11 +187,6 @@ class CompactnessObjective(Objective):
         return (sxx - sx * sx / count) + (syy - sy * sy / count)
 
     def total(self) -> float:
-        if not hotpath_caches_enabled():
-            return sum(
-                self._score(self._sums_of(sorted(region.area_ids)))
-                for region in self._state.iter_regions()
-            )
         return sum(
             self._score(self._region_sums(region))
             for region in self._state.iter_regions()
@@ -232,7 +221,7 @@ class CompactnessObjective(Objective):
         for region_id, sign in ((donor_id, -1), (receiver_id, +1)):
             sums = self._sums.get(region_id)
             if sums is None:
-                continue  # never materialized (gate off since attach)
+                continue  # never materialized (created after attach)
             sums[0] += sign * x
             sums[1] += sign * y
             sums[2] += sign * x * x

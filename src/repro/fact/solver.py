@@ -415,11 +415,13 @@ class FaCT:
             ledger = SolveLedger.load(
                 resume_from, config, constraints, collection,
                 keep_on_complete=config.checkpoint_keep_on_complete,
+                objective=self.objective,
             )
         elif config.checkpoint_path is not None:
             ledger = SolveLedger.fresh(
                 config.checkpoint_path, config, constraints, collection,
                 keep_on_complete=config.checkpoint_keep_on_complete,
+                objective=self.objective,
             )
         if ledger is not None:
             ledger.telemetry = telemetry

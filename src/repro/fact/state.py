@@ -26,12 +26,12 @@ indexes, updated in O(degree) at every mutation primitive:
 - ``_region_adj``: per region, the adjacent regions with the number of
   shared boundary edges.
 
-Every query sorts its result, so answers are deterministic and
-identical between the indexed path and the scan fallback (the
-reference path used when ``REPRO_DISABLE_HOTPATH_CACHES`` is set — see
-:mod:`repro.core.perf`). :meth:`check_indexes` re-derives both indexes
-from scratch and asserts equality; the property-test suite calls it
-after randomized mutation sequences.
+Every query sorts its result, so answers are deterministic. The
+reference semantics — the per-query scans the indexes replace — live
+in ``tests/oracles/hotpath_reference.py``; the property-test suite
+replays the indexed queries against them, and calls
+:meth:`check_indexes` (which re-derives both indexes from scratch and
+asserts equality) after randomized mutation sequences.
 """
 
 from __future__ import annotations
@@ -42,7 +42,7 @@ from ..core import arrays as arrays_mod
 from ..core.area import AreaCollection
 from ..core.constraints import ConstraintSet
 from ..core.partition import Partition
-from ..core.perf import PerfCounters, hotpath_caches_enabled
+from ..core.perf import PerfCounters
 from ..core.region import Region
 from ..exceptions import InvalidAreaError
 
@@ -91,9 +91,6 @@ class SolutionState:
         self._unassigned: set[int] = set(self.assignment)
         self._next_region_id = 0
         self.perf = perf if perf is not None else PerfCounters()
-        # Captured once per state: flipping the gate mid-life would
-        # desynchronize incrementally maintained structures.
-        self._use_indexes = hotpath_caches_enabled()
         # Every region this state creates mirrors its mutations into
         # the flat-array state the vector kernels batch-read. The
         # mirror is written from the same Region call sites that
@@ -161,29 +158,15 @@ class SolutionState:
         """Distinct regions sharing a boundary with *region*, in
         region-id order (served by the adjacency index)."""
         self.perf.adjacency_queries += 1
-        if self._use_indexes:
-            region_ids = self._region_adj.get(region.region_id, {})
-            return [self.regions[rid] for rid in sorted(region_ids)]
-        seen: set[int] = {region.region_id}
-        for area_id in region.neighboring_areas():
-            region_id = self.assignment.get(area_id)
-            if region_id is not None:
-                seen.add(region_id)
-        seen.discard(region.region_id)
-        return [self.regions[rid] for rid in sorted(seen)]
+        region_ids = self._region_adj.get(region.region_id, {})
+        return [self.regions[rid] for rid in sorted(region_ids)]
 
     def unassigned_neighbors(self, region: Region) -> list[int]:
         """Unassigned areas on *region*'s spatial frontier, in area-id
         order (served by the frontier index)."""
         self.perf.frontier_queries += 1
-        if self._use_indexes:
-            border = self._border.get(region.region_id, {})
-            return sorted(a for a in border if a in self._unassigned)
-        return sorted(
-            area_id
-            for area_id in region.neighboring_areas()
-            if area_id in self._unassigned
-        )
+        border = self._border.get(region.region_id, {})
+        return sorted(a for a in border if a in self._unassigned)
 
     def donor_boundary(self, donor: Region, receiver: Region) -> list[int]:
         """Members of *donor* spatially adjacent to *receiver*, in
@@ -192,27 +175,17 @@ class SolutionState:
         member."""
         self.perf.frontier_queries += 1
         donor_id = donor.region_id
-        if self._use_indexes:
-            border = self._border.get(receiver.region_id, {})
-            return sorted(
-                a for a in border if self.assignment.get(a) == donor_id
-            )
-        return sorted(
-            area_id for area_id in donor.area_ids if receiver.touches(area_id)
-        )
+        border = self._border.get(receiver.region_id, {})
+        return sorted(a for a in border if self.assignment.get(a) == donor_id)
 
     # ------------------------------------------------------------------
     # index maintenance (all O(degree of the touched area))
     # ------------------------------------------------------------------
     def _index_new_region(self, region_id: int) -> None:
-        if not self._use_indexes:
-            return
         self._border[region_id] = {}
         self._region_adj[region_id] = {}
 
     def _index_drop_region(self, region_id: int) -> None:
-        if not self._use_indexes:
-            return
         self._border.pop(region_id, None)
         for other_id in self._region_adj.pop(region_id, {}):
             self._region_adj[other_id].pop(region_id, None)
@@ -223,8 +196,6 @@ class SolutionState:
         Must run after both the region's membership and
         ``assignment[area_id]`` are updated.
         """
-        if not self._use_indexes:
-            return
         self.perf.index_updates += 1
         border = self._border[region_id]
         adjacency = self._region_adj[region_id]
@@ -248,8 +219,6 @@ class SolutionState:
         ``assignment[area_id]`` are updated (the area's own assignment
         is never consulted, only its neighbors').
         """
-        if not self._use_indexes:
-            return
         self.perf.index_updates += 1
         border = self._border[region_id]
         adjacency = self._region_adj[region_id]
@@ -291,8 +260,6 @@ class SolutionState:
         certification.
         """
         self._check_array_state()
-        if not self._use_indexes:
-            return
         neighbors = self.collection.neighbors
         for region_id, region in self.regions.items():
             members = region.area_ids
@@ -500,8 +467,6 @@ class SolutionState:
     def _index_merge_regions(self, keep_id: int, absorb_id: int) -> None:
         """Fold *absorb*'s index entries into *keep*'s in O(border +
         adjacent regions) — no per-area rederivation."""
-        if not self._use_indexes:
-            return
         self.perf.index_updates += 1
         # Border: sum the member-neighbor counts, then drop entries
         # that became internal (absorb's members adjacent to keep and

@@ -25,11 +25,11 @@ in the region updated by the previous move". On top of the pool sits a
 invalidated by a per-donor generation stamp instead of being searched
 for, and the per-iteration "best admissible move" query pops a handful
 of entries instead of scanning the entire pool — O(log m) amortized
-versus O(m) per iteration. With the hot-path cache gate off
-(:func:`repro.core.perf.hotpath_caches_enabled`) the pool falls back
-to the exhaustive reference scan; both paths order candidates by the
-same total key ``(delta, area, receiver, donor)``, so the chosen
-trajectory is identical.
+versus O(m) per iteration. The exhaustive reference scan lives in
+``tests/oracles/hotpath_reference.py``; both order candidates by the
+same total key ``(delta, area, receiver, donor)``, so the test suite
+can replay a whole solve against it and demand an identical
+trajectory.
 
 For the portfolio parallelism of :mod:`repro.fact.portfolio`, the
 search accepts an optional seeded RNG plus a perturbation count:
@@ -50,7 +50,6 @@ import numpy as np
 from ..core.aggregates import Aggregate
 from ..core.partition import Partition
 from ..obs.spans import NULL_TRACER
-from ..core.perf import hotpath_caches_enabled
 from ..core.region import Region
 from ..runtime import Interrupted, RunStatus
 from .config import FaCTConfig
@@ -307,17 +306,11 @@ class _MovePool:
         self._objective = objective
         self._moves_by_donor: dict[int, dict[_MoveKey, float]] = {}
         self._dirty: set[int] = set(state.regions)
-        # Captured once per pool: flipping the gate mid-search would
-        # desynchronize the heap from the pool.
-        self._indexed = hotpath_caches_enabled()
         # Batch candidate scoring off the flat-array mirror: only for
         # the paper objective (whose deltas close over the maintained
-        # sorted/prefix structure) and only with the caches on — the
-        # uncached reference path stays the scalar oracle. Both paths
-        # produce identical move dicts in identical insertion order.
-        self._vector = (
-            self._indexed and type(objective) is HeterogeneityObjective
-        )
+        # sorted/prefix structure). Both kernels produce identical move
+        # dicts in identical insertion order.
+        self._vector = type(objective) is HeterogeneityObjective
         self._heap: list[tuple[float, int, int, int, int]] = []
         self._stamp: dict[int, int] = {}
         # Donor-side derive cache, keyed by the donor's membership
@@ -355,11 +348,8 @@ class _MovePool:
                 continue
             moves = self._derive_moves(region)
             self._moves_by_donor[region_id] = moves
-            if self._indexed:
-                for (area_id, receiver_id), delta in moves.items():
-                    heappush(
-                        heap, (delta, area_id, receiver_id, region_id, stamp)
-                    )
+            for (area_id, receiver_id), delta in moves.items():
+                heappush(heap, (delta, area_id, receiver_id, region_id, stamp))
         self._dirty.clear()
 
     def _derive_moves(self, donor: Region) -> dict[_MoveKey, float]:
@@ -715,31 +705,6 @@ class _MovePool:
             ]
         return np.asarray(gathered, dtype=np.float64)[inverse]
 
-    def _scan(
-        self,
-        iteration: int,
-        tabu_until: dict[_MoveKey, int],
-        current_h: float,
-        best_h: float,
-    ) -> tuple[float, int, int, int] | None:
-        """Exhaustive reference scan: the admissible move minimizing
-        ``(delta, area, receiver, donor)`` — the same total order the
-        heap index pops in."""
-        best: tuple[float, int, int, int] | None = None
-        for donor_id, moves in self._moves_by_donor.items():
-            for (area_id, receiver_id), delta in moves.items():
-                if tabu_until.get((area_id, receiver_id), 0) >= iteration:
-                    # Aspiration: accept a tabu move that beats best_h.
-                    if current_h + delta >= best_h - 1e-9:
-                        continue
-                candidate = (delta, area_id, receiver_id, donor_id)
-                if best is None or candidate < best:
-                    best = candidate
-        if best is None:
-            return None
-        delta, area_id, receiver_id, donor_id = best
-        return (delta, area_id, donor_id, receiver_id)
-
     def _live_delta(
         self, area_id: int, donor_id: int, receiver_id: int
     ) -> float | None:
@@ -798,13 +763,10 @@ class _MovePool:
         Chosen moves are re-validated against live state: a stale
         entry is corrected (or evicted) and the query repeats, so the
         returned move is always executable with an exact delta. Served
-        by the heap index, or the exhaustive scan when the hot-path
-        cache gate is off — both apply the same candidate order, so
-        the two modes choose identical moves.
+        by the heap index in the same candidate order as an exhaustive
+        scan of the pool.
         """
         self._refresh()
-        if not self._indexed:
-            return self._best_by_scan(iteration, tabu_until, current_h, best_h)
         heap = self._heap
         moves_by_donor = self._moves_by_donor
         stamps = self._stamp
@@ -841,28 +803,3 @@ class _MovePool:
         for entry in deferred:
             heappush(heap, entry)
         return chosen
-
-    def _best_by_scan(
-        self,
-        iteration: int,
-        tabu_until: dict[_MoveKey, int],
-        current_h: float,
-        best_h: float,
-    ) -> tuple[float, int, int, int] | None:
-        """Reference path: exhaustive scan plus the same correct-and-
-        repeat live validation the heap path applies."""
-        while True:
-            candidate = self._scan(iteration, tabu_until, current_h, best_h)
-            if candidate is None:
-                return None
-            cached_delta, area_id, donor_id, receiver_id = candidate
-            live = self._live_delta(area_id, donor_id, receiver_id)
-            key = (area_id, receiver_id)
-            donor_moves = self._moves_by_donor.get(donor_id, {})
-            if live is None:
-                donor_moves.pop(key, None)
-                continue
-            if abs(live - cached_delta) > 1e-9:
-                donor_moves[key] = live
-                continue
-            return (live, area_id, donor_id, receiver_id)

@@ -290,16 +290,11 @@ NULL_TRACER = NullTracer()
 
 def worker_tracer(span_context) -> Tracer | NullTracer:
     """The tracer a worker task should use for *span_context* (a
-    :meth:`Tracer.context` value, or ``None`` for disabled telemetry).
-
-    Accepts the legacy two-field ``(trace_id, parent_id)`` context
-    (e.g. from a journaled job written before verbosity existed); the
-    worker then runs at full detail, matching the old behavior.
+    :meth:`Tracer.context` triple, or ``None`` for disabled telemetry).
     """
     if span_context is None:
         return NULL_TRACER
-    trace_id, parent_id = span_context[0], span_context[1]
-    verbosity = span_context[2] if len(span_context) > 2 else 2
+    trace_id, parent_id, verbosity = span_context
     return Tracer(
         trace_id=trace_id, root_parent=parent_id, verbosity=verbosity
     )

@@ -44,10 +44,6 @@ same thread runs the stall watchdog: every sweep classifies each
 active job with :class:`repro.obs.health.StallDetector` and journals
 the verdict (a ``health`` record, surfaced in job status and firing
 the ``service.stalled`` checkpoint on a stall).
-
-An optional FastAPI adapter (:func:`create_fastapi_app`) exposes the
-same routes for deployments that already run uvicorn; it is gated
-behind the import so the stdlib path never needs the dependency.
 """
 
 from __future__ import annotations
@@ -66,7 +62,7 @@ from ..preflight import run_preflight
 from .jobs import JobSpec, JobState
 from .store import JobStore
 
-__all__ = ["ServiceAPI", "create_fastapi_app", "health_sweep", "serve"]
+__all__ = ["ServiceAPI", "health_sweep", "serve"]
 
 _JOB_ROUTE = re.compile(
     r"^/jobs/(?P<job_id>[A-Za-z0-9_.-]+)"
@@ -127,8 +123,7 @@ class ServiceAPI:
 
     Each public method maps to one endpoint and returns
     ``(http_status, payload)`` with a JSON-plain payload, so the
-    stdlib handler, the FastAPI adapter and the tests all share one
-    implementation.
+    stdlib handler and the tests share one implementation.
     """
 
     def __init__(self, store: JobStore):
@@ -530,75 +525,3 @@ def serve(
     reaper.start()
     return server, reaper
 
-
-def create_fastapi_app(store: JobStore):
-    """The same API as a FastAPI app, for uvicorn deployments.
-
-    Requires the optional ``fastapi`` extra; raises a clear error when
-    it is not installed (the stdlib server needs nothing).
-    """
-    try:
-        from fastapi import FastAPI, Request
-        from fastapi.responses import PlainTextResponse, JSONResponse
-    except ImportError as error:  # pragma: no cover - optional extra
-        raise ReproError(
-            "FastAPI is not installed; use the stdlib server "
-            "(python -m repro serve) or install the 'service' extra"
-        ) from error
-
-    api = ServiceAPI(store)
-    app = FastAPI(title="repro solve service")
-
-    def _json(outcome) -> JSONResponse:
-        status, payload = outcome
-        return JSONResponse(payload, status_code=status)
-
-    @app.get("/healthz")
-    def healthz():
-        return _json(api.healthz())
-
-    @app.get("/metrics")
-    def metrics():
-        return PlainTextResponse(
-            api.metrics_text(), media_type=_PROM_CONTENT_TYPE
-        )
-
-    @app.post("/jobs")
-    async def submit(request: Request):
-        return _json(api.submit(await request.json()))
-
-    @app.get("/jobs")
-    def list_jobs(state: str | None = None):
-        return _json(api.list_jobs(state=state))
-
-    @app.get("/jobs/{job_id}")
-    def status(job_id: str):
-        return _json(api.status(job_id))
-
-    @app.post("/jobs/{job_id}/cancel")
-    def cancel(job_id: str):
-        return _json(api.cancel(job_id))
-
-    @app.get("/jobs/{job_id}/result")
-    def result(job_id: str):
-        return _json(api.result(job_id))
-
-    @app.get("/jobs/{job_id}/certificate")
-    def certificate(job_id: str):
-        return _json(api.certificate(job_id))
-
-    @app.get("/jobs/{job_id}/events")
-    def events(job_id: str, offset: int = 0):
-        return _json(api.events(job_id, offset=offset))
-
-    @app.get("/jobs/{job_id}/metrics")
-    def job_metrics(job_id: str):
-        outcome = api.job_metrics(job_id)
-        if len(outcome) == 3:
-            status, text, content_type = outcome
-            return PlainTextResponse(
-                text, status_code=status, media_type=content_type
-            )
-        return _json(outcome)
-
-    return app

@@ -10,6 +10,8 @@ Provides small deterministic worlds the tests reason about exactly:
 - ``line5`` — a 5-area path graph (articulation-point scenarios).
 - ``tiny_census`` / ``small_census`` — synthetic census datasets of 30
   and 200 tracts for integration tests.
+- ``smoke_2k`` — the registry ``2k`` dataset at scale 0.08 under the
+  ``MAS`` combo, the instance the whole-solve identity checks replay.
 - ``kernel_path`` — runs a test once with every size dispatch of the
   array core forced scalar and once forced vector (see
   :func:`forced_kernels`).
@@ -24,7 +26,7 @@ from contextlib import contextmanager
 import pytest
 
 from repro.core import Area, AreaCollection
-from repro.data import synthetic_census
+from repro.data import load_dataset, synthetic_census
 
 # Chaos tests interrupt the solver mid-flight; a bug in the
 # interruption machinery shows up as a hang, not a failure. With no
@@ -132,6 +134,16 @@ def tiny_census() -> AreaCollection:
 def small_census() -> AreaCollection:
     """200 synthetic census tracts (session-scoped: read-only)."""
     return synthetic_census(200, seed=12)
+
+
+@pytest.fixture(scope="session")
+def smoke_2k():
+    """``(collection, constraints)``: registry ``2k`` at scale 0.08
+    under the ``MAS`` combo (session-scoped: read-only). Solve it with
+    ``bench_config(len(collection), rng_seed=7)``."""
+    from repro.bench.workloads import combo_constraints
+
+    return load_dataset("2k", scale=0.08), combo_constraints("MAS")
 
 
 KERNEL_PATHS = ("scalar", "vector")

@@ -31,7 +31,6 @@ from repro.contiguity.graph import (
 import numpy as np
 
 from repro.core import ConstraintSet, min_constraint, sum_constraint
-from repro.core.perf import hotpath_caches_enabled
 from repro.data import schema, synthetic_census
 from repro.fact import FaCT, FaCTConfig
 from repro.fact.state import SolutionState
@@ -247,9 +246,6 @@ class TestSolveBitIdentity:
         if dispatch == "default":
             # Default cutoff: tiny donors all stay scalar.
             assert derives == 0
-        elif hotpath_caches_enabled():
+        else:
             # Forced: the vector kernels must actually have run.
             assert derives > 0
-        else:
-            # The uncached reference run stays scalar by design.
-            assert derives == 0

@@ -186,15 +186,6 @@ class TestBenchSchema:
         garbage.write_text("{ not json")
         assert read_bench_record(str(garbage)) is None
 
-    def test_micro_payload_carries_schema_and_telemetry(self):
-        from repro.bench.micro import run_micro
-        from repro.bench.runner import BENCH_SCHEMA_VERSION
-
-        result = run_micro(scale=0.02, micro_ops=False)
-        assert result["schema_version"] == BENCH_SCHEMA_VERSION
-        assert result["telemetry"]["total_spans"] > 0
-        assert result["identical"]  # caches left solver behaviour alone
-
     def test_enriched_workload_covers_all_five_families(self):
         from repro.bench.workloads import enriched_constraints
 
@@ -226,6 +217,14 @@ class TestBenchSchema:
         assert run["wall_seconds"] >= run["tabu_seconds"] >= 0.0
         # The ~260-area regions of this workload take the vector derive.
         assert run["vector_derives"] > 0
+
+    def test_micro_without_a_mode_is_a_usage_error(self, capsys):
+        from repro.bench import micro
+
+        with pytest.raises(SystemExit) as exit_info:
+            micro.main(["--smoke"])
+        assert exit_info.value.code == 2
+        assert "--scaling or --profile" in capsys.readouterr().err
 
 
 class TestPerfGate:

@@ -110,18 +110,37 @@ class TestLedgerRefusals:
             ("tabu_tenure", 1),
             ("tabu_max_no_improve", 2),
             ("tabu_max_iterations", 1),
+            ("strict_avg_feasibility", True),
+            ("degenerate_unassigned_ratio", 0.5),
         ],
     )
     def test_changed_tabu_knob_refuses_resume(
         self, tiny_census, constraints, tmp_path, key, value
     ):
-        # Each knob steers the Tabu trajectory: replaying units recorded
-        # under the old value would return the old run's answer.
+        # Each knob steers the construction outcome or the Tabu
+        # trajectory: replaying units recorded under the old value
+        # would return the old run's answer.
         config = _config(tmp_path, checkpoint_keep_on_complete=True)
         FaCT(config).solve(tiny_census, constraints)
         assert os.path.exists(config.checkpoint_path)
         with pytest.raises(CheckpointError, match=key):
             FaCT(_config(tmp_path, **{key: value})).solve(
+                tiny_census, constraints,
+                resume_from=config.checkpoint_path,
+            )
+
+    def test_changed_objective_refuses_resume(
+        self, tiny_census, constraints, tmp_path
+    ):
+        # Units recorded under H(P) replayed into a compactness solve
+        # would return the heterogeneity run's partition.
+        from repro.fact.objectives import CompactnessObjective
+
+        config = _config(tmp_path, checkpoint_keep_on_complete=True)
+        FaCT(config).solve(tiny_census, constraints)
+        assert os.path.exists(config.checkpoint_path)
+        with pytest.raises(CheckpointError, match="CompactnessObjective"):
+            FaCT(_config(tmp_path), objective=CompactnessObjective()).solve(
                 tiny_census, constraints,
                 resume_from=config.checkpoint_path,
             )

@@ -102,13 +102,7 @@ class TestPhaseParity:
         self, dataset, constraints, monkeypatch
     ):
         from repro.core.arrays import CollectionArrays
-        from repro.core.perf import hotpath_caches_enabled
 
-        if not hotpath_caches_enabled():
-            pytest.skip(
-                "vector construction paths are off by design on the "
-                "uncached reference run"
-            )
         _, collection = dataset
         # Only the batched construction kernels gather by dense
         # position during Step 2: a zero count on the vector run would

@@ -8,12 +8,11 @@ counted border/adjacency indexes through ``assign``/``move``/
 random mutation sequences and assert, after **every** mutation, that
 
 - every cached contiguity verdict matches a fresh BFS over the same
-  member set (the pre-oracle reference semantics),
+  member set (``oracles/hotpath_reference.py``),
 - the indexes match a from-scratch rederivation
   (``SolutionState.check_indexes``),
-- indexed queries return exactly what the scan fallback returns with
-  the hot-path cache gate off (the bit-identity the benchmark harness
-  and CI rely on).
+- indexed queries return exactly what the reference scans return (the
+  bit-identity whole-solve replays against the reference rely on).
 """
 
 from __future__ import annotations
@@ -23,49 +22,33 @@ import random
 import pytest
 
 from repro.core import ConstraintSet, PerfCounters, sum_constraint
-from repro.core.perf import set_hotpath_caches
 from repro.core.region import Region
 from repro.fact.state import SolutionState
 
 from conftest import make_grid_collection
+from oracles import hotpath_reference as reference
 
 
 def trivial_constraints() -> ConstraintSet:
     return ConstraintSet([sum_constraint("s", lower=0)])
 
 
-def reference_verdicts(collection, members):
-    """Per-node BFS reference: ``(is_contiguous, removable set)``."""
-    members = frozenset(members)
-    connected = collection.is_contiguous(members)
-    removable = frozenset(
-        area_id
-        for area_id in members
-        if len(members) > 1 and collection.is_contiguous(members - {area_id})
-    )
-    return connected, removable
-
-
 def assert_oracle_matches_reference(state):
     for region in state.iter_regions():
-        connected, removable = reference_verdicts(
-            state.collection, region.area_ids
-        )
-        assert region.is_contiguous() == connected
+        removable = reference.removable_areas(region)
+        assert region.is_contiguous() == reference.is_contiguous(region)
         assert region.removable_areas() == removable
         for area_id in sorted(region.area_ids):
-            assert region.remains_contiguous_without(area_id) == (
-                area_id in removable
-            )
+            verdict = reference.remains_contiguous_without(region, area_id)
+            assert verdict == (area_id in removable)
+            assert region.remains_contiguous_without(area_id) == verdict
 
 
-def random_mutation_walk(state, rng, steps, mirror=None):
+def random_mutation_walk(state, rng, steps):
     """Drive *state* through a random mutation sequence.
 
     Only legal operations are attempted (areas exist, donors stay
-    non-empty). When *mirror* is given, the identical sequence is
-    applied to it so the two states stay comparable. Yields after
-    every applied mutation.
+    non-empty). Yields after every applied mutation.
     """
 
     def regions():
@@ -93,14 +76,10 @@ def random_mutation_walk(state, rng, steps, mirror=None):
         if op == "new_region":
             seed = rng.choice(sorted(state.unassigned))
             state.new_region([seed])
-            if mirror is not None:
-                mirror.new_region([seed])
         elif op == "assign":
             area_id = rng.choice(sorted(state.unassigned))
             region = rng.choice(regions())
             state.assign(area_id, region)
-            if mirror is not None:
-                mirror.assign(area_id, mirror.regions[region.region_id])
         elif op == "move":
             donor = rng.choice([r for r in regions() if len(r) > 1])
             area_id = rng.choice(sorted(donor.area_ids))
@@ -109,27 +88,16 @@ def random_mutation_walk(state, rng, steps, mirror=None):
             ]
             receiver = rng.choice(receivers)
             state.move(area_id, receiver)
-            if mirror is not None:
-                mirror.move(area_id, mirror.regions[receiver.region_id])
         elif op == "unassign":
             donor = rng.choice([r for r in regions() if len(r) > 1])
             area_id = rng.choice(sorted(donor.area_ids))
             state.unassign(area_id)
-            if mirror is not None:
-                mirror.unassign(area_id)
         elif op == "merge":
             keep, absorb = rng.sample(regions(), 2)
             state.merge_regions(keep, absorb)
-            if mirror is not None:
-                mirror.merge_regions(
-                    mirror.regions[keep.region_id],
-                    mirror.regions[absorb.region_id],
-                )
         elif op == "dissolve":
             region = rng.choice(regions())
             state.dissolve_region(region)
-            if mirror is not None:
-                mirror.dissolve_region(mirror.regions[region.region_id])
         yield op
 
 
@@ -161,8 +129,7 @@ class TestOracleMatchesFreshBFS:
         region.add_area(9)  # three components: nothing may leave
         assert not region.is_contiguous()
         assert region.removable_areas() == frozenset()
-        _, removable = reference_verdicts(grid3, region.area_ids)
-        assert region.removable_areas() == removable
+        assert region.removable_areas() == reference.removable_areas(region)
 
     def test_singleton_region(self, grid3):
         region = Region(0, grid3, areas=[5])
@@ -172,7 +139,7 @@ class TestOracleMatchesFreshBFS:
 
 
 class TestCacheInvalidation:
-    def test_add_and_remove_invalidate(self, grid3, caches_on):
+    def test_add_and_remove_invalidate(self, grid3):
         perf = PerfCounters()
         region = Region(0, grid3, areas=[1, 2, 3], perf=perf)
         assert region.removable_areas() == frozenset({1, 3})
@@ -227,53 +194,32 @@ class TestCacheInvalidation:
 class TestIndexedQueriesMatchScanFallback:
     @pytest.mark.parametrize("seed", [5, 23])
     def test_bit_identical_query_results(self, seed):
-        """Indexed and fallback paths return identical (sorted) results
-        after every mutation — the invariant that makes cached and
-        uncached solver runs bit-identical."""
+        """Indexed queries return exactly the reference scans' (sorted)
+        results after every mutation — the invariant that makes a
+        whole solve replayed against the reference bit-identical."""
         collection = make_grid_collection(5, 5)
-        indexed = SolutionState(collection, trivial_constraints())
-        previous = set_hotpath_caches(False)
-        try:
-            fallback = SolutionState(collection, trivial_constraints())
-        finally:
-            set_hotpath_caches(previous)
+        state = SolutionState(collection, trivial_constraints())
         rng = random.Random(seed)
-        for _ in random_mutation_walk(indexed, rng, 60, mirror=fallback):
-            assert indexed.assignment == fallback.assignment
-            for region_id in sorted(indexed.regions):
-                region = indexed.regions[region_id]
-                shadow = fallback.regions[region_id]
-                assert indexed.unassigned_neighbors(
+        for _ in random_mutation_walk(state, rng, 60):
+            for region_id in sorted(state.regions):
+                region = state.regions[region_id]
+                assert state.unassigned_neighbors(
                     region
-                ) == fallback.unassigned_neighbors(shadow)
-                assert [
-                    r.region_id for r in indexed.adjacent_regions(region)
-                ] == [r.region_id for r in fallback.adjacent_regions(shadow)]
-                for other_id in sorted(indexed.regions):
+                ) == reference.unassigned_neighbors(state, region)
+                assert state.adjacent_regions(
+                    region
+                ) == reference.adjacent_regions(state, region)
+                for other_id in sorted(state.regions):
                     if other_id == region_id:
                         continue
-                    assert indexed.donor_boundary(
-                        region, indexed.regions[other_id]
-                    ) == fallback.donor_boundary(
-                        shadow, fallback.regions[other_id]
-                    )
-
-
-@pytest.fixture
-def caches_on():
-    """Pin the hot-path caches ON for counter-accounting assertions —
-    they describe the cached oracle regardless of the ambient
-    ``REPRO_DISABLE_HOTPATH_CACHES`` (the CI matrix runs this suite
-    with it set)."""
-    previous = set_hotpath_caches(True)
-    try:
-        yield
-    finally:
-        set_hotpath_caches(previous)
+                    other = state.regions[other_id]
+                    assert state.donor_boundary(
+                        region, other
+                    ) == reference.donor_boundary(state, region, other)
 
 
 class TestPerfCounters:
-    def test_hits_and_rebuilds_accounting(self, grid3, caches_on):
+    def test_hits_and_rebuilds_accounting(self, grid3):
         perf = PerfCounters()
         region = Region(0, grid3, areas=[1, 2, 3], perf=perf)
         region.removable_areas()  # rebuild
@@ -284,7 +230,7 @@ class TestPerfCounters:
         assert perf.graph_traversals == 1
         assert perf.oracle_hit_rate == pytest.approx(2 / 3)
 
-    def test_full_bfs_checks_cached_vs_uncached(self, grid3, caches_on):
+    def test_full_bfs_checks_cached_vs_uncached(self, grid3):
         cached = PerfCounters()
         region = Region(0, grid3, areas=[1, 2, 3], perf=cached)
         region.remains_contiguous_without(1)  # pays for the rebuild
@@ -292,16 +238,6 @@ class TestPerfCounters:
         region.remains_contiguous_without(3)  # O(1) lookup
         assert cached.contiguity_checks == 3
         assert cached.full_bfs_checks == 1
-        uncached = PerfCounters()
-        shadow = Region(1, grid3, areas=[1, 2, 3], perf=uncached)
-        previous = set_hotpath_caches(False)
-        try:
-            for area_id in (1, 2, 3):
-                shadow.remains_contiguous_without(area_id)
-        finally:
-            set_hotpath_caches(previous)
-        assert uncached.contiguity_checks == 3
-        assert uncached.full_bfs_checks == 3
 
     def test_merge_and_reset(self):
         first = PerfCounters()
@@ -332,7 +268,7 @@ class TestPerfCounters:
         assert payload["oracle_hit_rate"] == 0.5
         assert "tabu" in payload["timings"]
 
-    def test_state_threads_one_counter_into_regions(self, grid3, caches_on):
+    def test_state_threads_one_counter_into_regions(self, grid3):
         state = SolutionState(grid3, trivial_constraints())
         region = state.new_region([1, 2])
         assert region.perf is state.perf

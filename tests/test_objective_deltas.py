@@ -7,11 +7,10 @@ Three layers of checks:
   incrementally maintained heterogeneity and sorted-values structure
   must agree with the O(g²) naive recompute, and every delta query
   must price exactly what a recompute-after-the-move would;
-- **gate equivalence** — the maintained-structure fast path and the
-  recompute-everything reference path
-  (``REPRO_DISABLE_HOTPATH_CACHES``) must be *bit-identical*, not just
-  approximately equal, because the bench identity check compares full
-  solver runs across the gate;
+- **reference equivalence** — the maintained-structure fast path and
+  the recompute-everything reference (``oracles/hotpath_reference.py``)
+  must be *bit-identical*, not just approximately equal, because whole
+  solver runs are replayed against the reference and compared;
 - **worker invariance** — a fixed seed must produce the identical
   partition at every ``n_jobs``, with and without the Tabu portfolio.
 """
@@ -19,27 +18,22 @@ Three layers of checks:
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 
 import pytest
 
+from repro.bench.runner import bench_config
 from repro.core import ConstraintSet, min_constraint, sum_constraint
 from repro.core.heterogeneity import (
     pairwise_absolute_deviation,
     pairwise_absolute_deviation_naive,
 )
-from repro.core.perf import set_hotpath_caches
 from repro.fact import FaCT, FaCTConfig
 from repro.fact.objectives import CompactnessObjective, HeterogeneityObjective
 from repro.fact.state import SolutionState
 
 from conftest import make_grid_collection
-
-
-@pytest.fixture
-def gate():
-    """Restore the hot-path cache gate after a test flips it."""
-    yield set_hotpath_caches
-    set_hotpath_caches(True)
+from oracles.hotpath_reference import reference_hotpaths
 
 
 def _random_world(seed: int, rows: int = 6, cols: int = 6):
@@ -139,22 +133,21 @@ class TestIncrementalHeterogeneity:
             _check_all_regions(state)
             state.check_indexes()
 
-    def test_reference_path_matches_naive_oracle(self, gate):
-        """The same property holds with the maintained structure off."""
-        gate(False)
-        collection = _random_world(9)
-        state = SolutionState(collection, ConstraintSet())
-        rng = random.Random(1009)
-        for _ in _random_mutations(state, rng, steps=40):
-            _check_all_regions(state)
+    def test_reference_path_matches_naive_oracle(self):
+        """The same property holds for the reference semantics."""
+        with reference_hotpaths():
+            collection = _random_world(9)
+            state = SolutionState(collection, ConstraintSet())
+            rng = random.Random(1009)
+            for _ in _random_mutations(state, rng, steps=40):
+                _check_all_regions(state)
 
-    def test_gate_paths_bit_identical(self, gate):
-        """Cached and reference paths must agree to the last bit on an
-        identical mutation sequence — approximate equality is not
+    def test_reference_paths_bit_identical(self):
+        """Maintained and reference paths must agree to the last bit on
+        an identical mutation sequence — approximate equality is not
         enough for the solver-level identity check."""
-        runs = {}
-        for cached in (True, False):
-            gate(cached)
+
+        def run():
             collection = _random_world(4)
             state = SolutionState(collection, ConstraintSet())
             rng = random.Random(77)
@@ -167,8 +160,11 @@ class TestIncrementalHeterogeneity:
                         deltas.append(
                             region.heterogeneity_delta_remove(area_id)
                         )
-            runs[cached] = (totals, deltas)
-        assert runs[True] == runs[False]
+            return totals, deltas
+
+        maintained = run()
+        with reference_hotpaths():
+            assert run() == maintained
 
     def test_fastpath_counters_recorded(self):
         collection = _random_world(5)
@@ -208,22 +204,23 @@ class TestAssumeSorted:
         ) == pytest.approx(region.heterogeneity, abs=1e-9)
 
 
-class TestCompactnessGate:
-    def test_gate_paths_agree(self, small_census, gate):
+class TestCompactnessReference:
+    def test_reference_paths_agree(self, small_census):
         """Compactness maintained sums vs fresh recompute (approx: the
         two paths accumulate floats in different orders)."""
         constraints = ConstraintSet(
             [sum_constraint("TOTALPOP", lower=20000)]
         )
-        totals = {}
-        for cached in (True, False):
-            gate(cached)
+
+        def solve():
             config = FaCTConfig(rng_seed=3, construction_iterations=1)
-            solution = FaCT(
-                config, objective=CompactnessObjective()
-            ).solve(small_census, constraints)
-            totals[cached] = solution.heterogeneity
-        assert totals[True] == pytest.approx(totals[False], rel=1e-9)
+            return FaCT(config, objective=CompactnessObjective()).solve(
+                small_census, constraints
+            ).heterogeneity
+
+        maintained = solve()
+        with reference_hotpaths():
+            assert solve() == pytest.approx(maintained, rel=1e-9)
 
 
 class TestWorkerInvariance:
@@ -235,19 +232,29 @@ class TestWorkerInvariance:
             ]
         )
 
-    @pytest.mark.parametrize("portfolio", [1, 3])
-    def test_partition_invariant_across_n_jobs(self, small_census, portfolio):
-        partitions = []
+    @pytest.mark.parametrize(
+        "portfolio, instance",
+        [(1, "census"), (3, "census"), (3, "smoke-2k")],
+        ids=["1", "3", "smoke-2k"],
+    )
+    def test_partition_invariant_across_n_jobs(
+        self, request, portfolio, instance
+    ):
+        if instance == "census":
+            collection = request.getfixturevalue("small_census")
+            constraints = self._constraints()
+            base = FaCTConfig(rng_seed=7, construction_iterations=4)
+        else:
+            collection, constraints = request.getfixturevalue("smoke_2k")
+            base = bench_config(len(collection), rng_seed=7)
+        outcomes = []
         for n_jobs in (1, 2, 4):
-            config = FaCTConfig(
-                rng_seed=7,
-                construction_iterations=4,
-                n_jobs=n_jobs,
-                tabu_portfolio=portfolio,
+            config = replace(base, n_jobs=n_jobs, tabu_portfolio=portfolio)
+            solution = FaCT(config).solve(collection, constraints)
+            outcomes.append(
+                (solution.partition, repr(solution.heterogeneity))
             )
-            solution = FaCT(config).solve(small_census, self._constraints())
-            partitions.append(solution.partition)
-        assert partitions[0] == partitions[1] == partitions[2]
+        assert outcomes[0] == outcomes[1] == outcomes[2]
 
     def test_portfolio_never_worse_than_single(self, small_census):
         solutions = {}

@@ -102,11 +102,6 @@ class TestCrossProcessStitching:
         assert parent_id is None
         assert verbosity == 2
 
-    def test_worker_tracer_accepts_legacy_two_field_context(self):
-        worker = worker_tracer(("abc123", None))
-        assert worker.trace_id == "abc123"
-        assert worker.verbosity == 2
-
     def test_worker_tracer_inherits_parent_verbosity(self):
         parent = Tracer(verbosity=1)
         worker = worker_tracer(parent.context())

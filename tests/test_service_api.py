@@ -350,40 +350,3 @@ class TestMetricsEndpoints:
         _, text, _ = api.dispatch("GET", "/metrics", {}, None)
         assert "repro_service_stalled_jobs 0.0" in text
 
-
-class TestFastAPIAdapter:
-    """The optional FastAPI adapter serves the same routes (skipped
-    when fastapi/httpx are not installed — CI runs stdlib-only)."""
-
-    @pytest.fixture
-    def client(self, store):
-        pytest.importorskip("fastapi")
-        pytest.importorskip("httpx")
-        from fastapi.testclient import TestClient
-
-        from repro.service.api import create_fastapi_app
-
-        return TestClient(create_fastapi_app(store))
-
-    def test_submit_status_events_round_trip(self, client, store):
-        response = client.post("/jobs", json=dict(SPEC))
-        assert response.status_code == 201
-        job_id = response.json()["job_id"]
-        assert client.get(f"/jobs/{job_id}").json()["state"] == "queued"
-        ServiceWorker(store, worker_id="w-fapi").run_once()
-        page = client.get(f"/jobs/{job_id}/events?offset=0").json()
-        assert page["events"] and page["next_offset"] > 0
-        assert page["state"] == "completed"
-
-    def test_metrics_routes_serve_prometheus_text(self, client, store):
-        response = client.post("/jobs", json=dict(SPEC))
-        job_id = response.json()["job_id"]
-        fleet = client.get("/metrics")
-        assert fleet.status_code == 200
-        assert fleet.headers["content-type"].startswith("text/plain")
-        assert 'repro_service_jobs{state="queued"} 1.0' in fleet.text
-        per_job = client.get(f"/jobs/{job_id}/metrics")
-        assert per_job.status_code == 200
-        assert per_job.headers["content-type"].startswith("text/plain")
-        assert "repro_job_progress_fraction 0.0" in per_job.text
-        assert client.get("/jobs/j-missing/metrics").status_code == 404
