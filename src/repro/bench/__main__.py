@@ -2,26 +2,24 @@
 
 Subcommands:
 
-- ``micro``  — scaling and profiling harness (:mod:`repro.bench.micro`):
-  ``micro --scaling`` solves the registry sweep and grades its hot-path
-  counters against a baseline; ``micro --profile`` prints a cProfile
-  breakdown of one solve.
 - ``report`` — full paper-table/figure report run
   (:mod:`repro.bench.report`, also runnable directly as
   ``python -m repro.bench.report``).
+
+Timing belongs to the end-to-end benchmark in ``benchmarks/e2e``;
+profiling one solve is ``python -m cProfile -s cumulative -m repro
+solve …`` or ``REPRO_PROFILE=cprofile``.
 """
 
 from __future__ import annotations
 
 import sys
 
-from . import micro, report
+from . import report
 
 _USAGE = """usage: python -m repro.bench <command> [options]
 
 commands:
-  micro    --scaling for the registry scaling sweep,
-           --profile for a cProfile breakdown
   report   generate EXPERIMENTS.md tables and figures
 
 run `python -m repro.bench <command> --help` for command options."""
@@ -33,8 +31,6 @@ def main(argv: list[str] | None = None) -> int:
         print(_USAGE)
         return 0
     command, rest = argv[0], argv[1:]
-    if command == "micro":
-        return micro.main(rest)
     if command == "report":
         return report.main(rest)
     print(f"unknown command: {command!r}\n\n{_USAGE}", file=sys.stderr)

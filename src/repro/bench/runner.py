@@ -51,11 +51,10 @@ _SCALE_ENV = "REPRO_BENCH_SCALE"
 _DEFAULT_BENCH_SCALE = 0.15
 _CELL_DEADLINE_ENV = "REPRO_BENCH_CELL_DEADLINE"
 
-# Version of the benchmark record layout (journal rows and the
-# BENCH_*.json payloads). Version 2 added ``schema_version`` itself and
-# the ``telemetry`` summary block; readers accept version-1 records
-# (the fields default) so existing journals and checked-in baselines
-# keep replaying.
+# Version of the bench journal row layout. Version 2 added
+# ``schema_version`` itself and the ``telemetry`` summary block; the
+# journal reader accepts version-1 rows (the fields default) so
+# existing journals keep replaying.
 BENCH_SCHEMA_VERSION = 2
 
 

@@ -6,10 +6,11 @@ borders this region?" (frontier/adjacency). Both are served by
 incremental caches (:meth:`repro.core.region.Region.removable_areas`,
 the indexes inside :class:`repro.fact.state.SolutionState`).
 :class:`PerfCounters` is a lightweight mutable struct counting cache
-hits, rebuilds, full graph traversals and candidate evaluations, plus
-named wall-clock timings. One instance is owned by each
-``SolutionState`` and surfaces on :class:`repro.fact.solver.
-EMPSolution` and in the benchmark harness.
+hits, rebuilds, full graph traversals and candidate evaluations. One
+instance is owned by each ``SolutionState`` and surfaces on
+:class:`repro.fact.solver.EMPSolution` and in the benchmark harness.
+Phase wall-clock is not kept here: it is ``EMPSolution.phase_seconds``
+and the telemetry registry's ``phase_seconds`` counters.
 
 The recompute-from-scratch reference semantics of every cached query
 live in ``tests/oracles/hotpath_reference.py``; the test suite replays
@@ -17,11 +18,6 @@ the cached paths against them and asserts bit-identical answers.
 """
 
 from __future__ import annotations
-
-from contextlib import contextmanager
-from time import perf_counter
-
-from ..obs.metrics import MetricsRegistry
 
 __all__ = ["PerfCounters"]
 
@@ -123,49 +119,7 @@ class PerfCounters:
     certifications:
         Independent certification passes run over a partition
         (``FaCTConfig.certify``).
-    timings:
-        Named wall-clock sections recorded via :meth:`time_section`
-        or :meth:`record_seconds` (per-phase timings come from the
-        solver facade).
-
-        .. deprecated:: PR 5
-            ``timings`` is now a read-only *view* over the
-            ``phase_seconds`` counters of this struct's backing
-            :class:`repro.obs.metrics.MetricsRegistry`
-            (:attr:`timing_metrics`) — the registry is the source of
-            truth and what the telemetry layer exports. The dict shape
-            (``{name: seconds}``) is preserved for every existing
-            consumer; mutate through :meth:`record_seconds` /
-            :meth:`time_section`, not by assigning to the view.
     """
-
-    __slots__ = (
-        "contiguity_checks",
-        "oracle_hits",
-        "oracle_rebuilds",
-        "oracle_incremental",
-        "oracle_fallbacks",
-        "graph_traversals",
-        "full_bfs_checks",
-        "candidate_evaluations",
-        "frontier_queries",
-        "adjacency_queries",
-        "index_updates",
-        "delta_fastpath",
-        "delta_recompute",
-        "objective_struct_updates",
-        "vector_derives",
-        "donor_cache_hits",
-        "pool_task_failures",
-        "pool_task_retries",
-        "pool_tasks_degraded",
-        "pool_broken_restarts",
-        "pool_task_timeouts",
-        "checkpoint_writes",
-        "checkpoint_replays",
-        "certifications",
-        "_timing_metrics",
-    )
 
     _COUNTER_FIELDS = (
         "contiguity_checks",
@@ -193,26 +147,13 @@ class PerfCounters:
         "checkpoint_replays",
         "certifications",
     )
+    __slots__ = _COUNTER_FIELDS
 
     def __init__(self) -> None:
         for name in self._COUNTER_FIELDS:
             setattr(self, name, 0)
-        self._timing_metrics = MetricsRegistry()
 
     # ------------------------------------------------------------------
-    @property
-    def timings(self) -> dict[str, float]:
-        """Named wall-clock sections as ``{name: seconds}`` — a
-        compatibility view over :attr:`timing_metrics` (see the class
-        docstring's deprecation note)."""
-        return self._timing_metrics.label_values("phase_seconds", "phase")
-
-    @property
-    def timing_metrics(self) -> MetricsRegistry:
-        """The :class:`repro.obs.metrics.MetricsRegistry` backing the
-        named timings (``phase_seconds{phase=...}`` counters)."""
-        return self._timing_metrics
-
     @property
     def oracle_hit_rate(self) -> float:
         """Fraction of oracle lookups served without a rebuild."""
@@ -239,33 +180,16 @@ class PerfCounters:
             return 0.0
         return self.delta_fastpath / total
 
-    def record_seconds(self, name: str, seconds: float) -> None:
-        """Accumulate wall-clock time under *name*."""
-        self._timing_metrics.counter("phase_seconds", phase=name).inc(seconds)
-
-    @contextmanager
-    def time_section(self, name: str):
-        """Context manager accumulating the body's wall-clock under
-        *name*."""
-        started = perf_counter()
-        try:
-            yield self
-        finally:
-            self.record_seconds(name, perf_counter() - started)
-
     def merge(self, other: "PerfCounters") -> "PerfCounters":
-        """Fold *other*'s counters and timings into this one."""
+        """Fold *other*'s counters into this one."""
         for name in self._COUNTER_FIELDS:
             setattr(self, name, getattr(self, name) + getattr(other, name))
-        for name, seconds in other.timings.items():
-            self.record_seconds(name, seconds)
         return self
 
     def reset(self) -> None:
-        """Zero every counter and drop all timings."""
+        """Zero every counter."""
         for name in self._COUNTER_FIELDS:
             setattr(self, name, 0)
-        self._timing_metrics = MetricsRegistry()
 
     def as_dict(self) -> dict[str, object]:
         """Plain-dict view (JSON-serializable) for reports and bench
@@ -278,9 +202,6 @@ class PerfCounters:
             self.oracle_incremental_rate, 4
         )
         payload["delta_fastpath_rate"] = round(self.delta_fastpath_rate, 4)
-        payload["timings"] = {
-            name: round(seconds, 6) for name, seconds in sorted(self.timings.items())
-        }
         return payload
 
     def __repr__(self) -> str:  # pragma: no cover - debug helper

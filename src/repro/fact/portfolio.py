@@ -70,9 +70,9 @@ def improve_portfolio(
     ``heterogeneity_before`` is always member 0's (the winning
     construction pass), so :attr:`TabuResult.improvement` measures
     against the partition the serial solver would have started from.
-    Per-member wall-clock lands in ``state.perf.timings`` under
-    ``tabu.member<i>``, and each member's hot-path counters are merged
-    into ``state.perf``.
+    Per-member wall-clock lands in *telemetry*'s ``phase_seconds``
+    counter under ``tabu.member<i>``, and each member's hot-path
+    counters are merged into ``state.perf``.
 
     *ledger* (a :class:`~repro.fact.checkpointing.SolveLedger`)
     replays members recorded by an earlier killed run and records
@@ -141,9 +141,9 @@ def improve_portfolio(
         for outcome in outcomes:
             stats, member_perf = outcome[2], outcome[3]
             perf.merge(member_perf)
-            perf.record_seconds(
-                f"tabu.member{stats['member']}", stats["elapsed_seconds"]
-            )
+            telemetry.metrics.counter(
+                "phase_seconds", phase=f"tabu.member{stats['member']}"
+            ).inc(stats["elapsed_seconds"])
         best = min(outcomes, key=lambda item: (item[0], item[2]["member"]))
         best_score, best_labels, best_stats = best[0], best[1], best[2]
 

@@ -162,8 +162,7 @@ class EMPSolution:
     perf:
         Hot-path counters of the winning construction pass and the
         Tabu search that refined it (contiguity-oracle hits/rebuilds,
-        candidate evaluations, index traffic), with the per-phase
-        wall-clock recorded under ``perf.timings``, plus the solve's
+        candidate evaluations, index traffic), plus the solve's
         resilience counters (worker-pool failures/retries/degrades,
         checkpoint writes/replays, certifications). ``None`` only for
         hand-built solutions.
@@ -617,10 +616,16 @@ class FaCT:
                 runtime_perf.merge(ledger.counters)
             perf = construction.state.perf
             perf.merge(runtime_perf)
-            perf.record_seconds("feasibility", feasibility_seconds)
-            perf.record_seconds("construction", construction.elapsed_seconds)
+            phase_seconds = {
+                "feasibility": feasibility_seconds,
+                "construction": construction.elapsed_seconds,
+            }
             if tabu is not None:
-                perf.record_seconds("tabu", tabu.elapsed_seconds)
+                phase_seconds["tabu"] = tabu.elapsed_seconds
+            for phase, seconds in phase_seconds.items():
+                telemetry.metrics.counter("phase_seconds", phase=phase).inc(
+                    seconds
+                )
             if solve_span.recording:
                 solve_span.set(
                     p=partition.p,

@@ -9,7 +9,7 @@ Four pieces, designed to cost nothing when off:
   processes via serializable span contexts;
 - **metrics registry** (:mod:`~repro.obs.metrics`):
   counters/gauges/histograms with labels, per-phase snapshots and
-  deltas; absorbs (and backs) the legacy ``PerfCounters`` signals;
+  deltas; absorbs the solver's ``PerfCounters`` hot-path counters;
 - **run event log** (:mod:`~repro.obs.events`): an append-only JSONL
   record of spans, metric snapshots, budget/cancellation,
   fault-injection, pool retry/degradation and certification events,
@@ -23,8 +23,8 @@ On top of that substrate sits the derived-signal layer:
 
 - **progress/ETA** (:mod:`~repro.obs.progress`): a deterministic
   :class:`ProgressModel` folding ``progress`` events into a
-  phase-weighted completion fraction + ETA, weights calibrated from
-  BENCH_scaling.json;
+  phase-weighted completion fraction + ETA under one constant set of
+  phase weights (:data:`DEFAULT_WEIGHTS`);
 - **health** (:mod:`~repro.obs.health`): :class:`StallDetector`
   classifying running jobs HEALTHY / SLOW / STALLED from heartbeats
   and event recency;
@@ -60,9 +60,7 @@ from .metrics import (
 from .progress import (
     DEFAULT_WEIGHTS,
     ProgressModel,
-    calibrate_weights,
     eta_error,
-    weights_for_spec,
 )
 from .spans import NULL_SPAN, NULL_TRACER, NullTracer, Span, Tracer, worker_tracer
 from .telemetry import DISABLED, SolveTelemetry, resolve_telemetry
@@ -86,7 +84,6 @@ __all__ = [
     "Span",
     "StallDetector",
     "Tracer",
-    "calibrate_weights",
     "chrome_trace",
     "escape_label_value",
     "eta_error",
@@ -97,6 +94,5 @@ __all__ = [
     "resolve_telemetry",
     "span_records",
     "validate_events",
-    "weights_for_spec",
     "worker_tracer",
 ]

@@ -20,7 +20,7 @@ import time
 import urllib.error
 import urllib.request
 
-from .progress import ProgressModel, weights_for_spec
+from .progress import ProgressModel
 
 __all__ = ["FleetClient", "FleetTop", "render_top", "run_tail", "run_top"]
 
@@ -46,14 +46,13 @@ class FleetClient:
 
 
 class _JobFollow:
-    """Accumulated event stream + progress model for one job."""
+    """Accumulated event stream of one job."""
 
-    __slots__ = ("events", "offset", "model")
+    __slots__ = ("events", "offset")
 
-    def __init__(self, spec: dict | None):
+    def __init__(self):
         self.events: list[dict] = []
         self.offset = 0
-        self.model = ProgressModel(weights_for_spec(spec))
 
 
 class FleetTop:
@@ -62,6 +61,7 @@ class FleetTop:
     def __init__(self, client: FleetClient):
         self.client = client
         self._follows: dict[str, _JobFollow] = {}
+        self._model = ProgressModel()
 
     def rows(self, now: float | None = None) -> list[dict]:
         """One table row per job, newest first by creation order."""
@@ -72,7 +72,7 @@ class FleetTop:
             job_id = job.get("job_id", "?")
             follow = self._follows.get(job_id)
             if follow is None:
-                follow = self._follows[job_id] = _JobFollow(job.get("spec"))
+                follow = self._follows[job_id] = _JobFollow()
             try:
                 page = self.client.events(job_id, offset=follow.offset)
             except (urllib.error.URLError, OSError, ValueError):
@@ -81,7 +81,7 @@ class FleetTop:
             follow.events.extend(fresh)
             follow.offset = page.get("next_offset", follow.offset)
             active = job.get("state") in ("leased", "running")
-            snap = follow.model.snapshot(
+            snap = self._model.snapshot(
                 follow.events, now=now if active else None
             )
             rows.append(

@@ -1,10 +1,10 @@
 """Metrics registry: counters, gauges and histograms with labels.
 
 One :class:`MetricsRegistry` serves one solve (bundled in
-:class:`repro.obs.SolveTelemetry`) — and one backs every
-:class:`repro.core.perf.PerfCounters` instance, which is how the
-legacy named wall-clock timings migrated onto this layer without
-changing their public shape.
+:class:`repro.obs.SolveTelemetry`). The solver writes its per-phase
+wall-clock straight into it as ``phase_seconds{phase=...}`` counters
+and folds the :class:`repro.core.perf.PerfCounters` hot-path counters
+in at phase boundaries (:meth:`MetricsRegistry.absorb_perf`).
 
 Instruments are identified by ``(name, sorted labels)``; requesting
 the same identity twice returns the same instrument::
@@ -16,8 +16,7 @@ the same identity twice returns the same instrument::
 :meth:`MetricsRegistry.snapshot` produces a JSON-ready view and
 :meth:`MetricsRegistry.delta` the numeric difference against an
 earlier snapshot — the per-phase snapshot/delta records in the run
-event log. Everything is plain picklable Python (registries ride
-inside ``PerfCounters`` across the worker-pool boundary).
+event log. Everything is plain picklable Python.
 
 The null objects (:data:`NULL_METRICS`) make the disabled path free:
 every instrument method is a no-op on a shared singleton.
@@ -175,8 +174,8 @@ class MetricsRegistry:
     # -- views ---------------------------------------------------------
     def label_values(self, name: str, label: str) -> dict[str, float]:
         """``{label value: instrument value}`` over every instrument
-        named *name* carrying *label* (the ``PerfCounters.timings``
-        compatibility view)."""
+        named *name* carrying *label* (e.g. ``phase_seconds`` by
+        ``phase``)."""
         out: dict[str, float] = {}
         for (metric_name, label_key), instrument in self._instruments.items():
             if metric_name != name:
@@ -218,8 +217,7 @@ class MetricsRegistry:
     # -- PerfCounters absorption --------------------------------------
     def absorb_perf(self, perf) -> None:
         """Fold a :class:`repro.core.perf.PerfCounters` into this
-        registry: each counter field becomes ``perf_<field>`` and each
-        named timing a ``phase_seconds{phase=...}`` counter.
+        registry: each counter field becomes ``perf_<field>``.
 
         Uses set-to (absolute) semantics so repeated absorption of the
         same cumulative struct at successive phase boundaries yields
@@ -227,8 +225,6 @@ class MetricsRegistry:
         """
         for field in perf._COUNTER_FIELDS:
             self.counter(f"perf_{field}").set_to(getattr(perf, field))
-        for name, seconds in perf.timings.items():
-            self.counter("phase_seconds", phase=name).set_to(seconds)
         self.gauge("perf_oracle_hit_rate").set(perf.oracle_hit_rate)
         self.gauge("perf_delta_fastpath_rate").set(perf.delta_fastpath_rate)
 

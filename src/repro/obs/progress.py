@@ -11,93 +11,31 @@ The fold is deterministic: the same event list always produces the
 same snapshot, so the service endpoints, the console and the bench
 harness all agree on what "63% done" means.
 
-Phase weights come from BENCH_scaling.json when it is present: for a
-solve of *n* areas we pick the benchmarked dataset nearest in size and
-split its measured wall clock into feasibility / construction / tabu
-shares (tabu dominates at scale — ~90% of a 10k-area numpy solve).
-Without the bench file a conservative default applies.
+Phase weights are one constant, :data:`DEFAULT_WEIGHTS`. The service
+endpoints, the console and :func:`eta_error` (which the telemetry
+summary reports) all fold with it, so the ETA a job serves is the ETA
+that gets scored. The model reads no files.
 """
 
 from __future__ import annotations
 
-import json
-import os
-
 __all__ = [
     "DEFAULT_WEIGHTS",
     "ProgressModel",
-    "calibrate_weights",
     "eta_error",
-    "weights_for_spec",
 ]
 
 # Phase keys of the fold, in solve order. ``progress`` events whose
 # phase carries a suffix ("tabu.search") roll up to the first segment.
 PHASES = ("feasibility", "construction", "tabu")
 
-# Fallback shares when no bench profile is available; mirrors the
-# shape of every BENCH_scaling.json row (tabu dominates).
+# Share of a solve's wall clock credited to each phase when it
+# completes.
 DEFAULT_WEIGHTS = {
     "feasibility": 0.03,
     "construction": 0.17,
     "tabu": 0.80,
 }
-
-# construction_seconds in the bench rows includes the feasibility
-# check; carve a small fixed share back out for the feasibility phase.
-_FEASIBILITY_SHARE_OF_CONSTRUCTION = 0.15
-
-
-def _bench_path() -> str:
-    here = os.path.dirname(os.path.abspath(__file__))
-    return os.path.normpath(
-        os.path.join(here, "..", "..", "..", "BENCH_scaling.json")
-    )
-
-
-def _load_bench(bench_path: str | None) -> dict | None:
-    path = bench_path or _bench_path()
-    try:
-        with open(path, "r", encoding="utf-8") as handle:
-            return json.load(handle)
-    except (OSError, ValueError):
-        return None
-
-
-def scaling_row(block: dict) -> dict | None:
-    """The solve row of one BENCH_scaling.json dataset block.
-
-    Current files carry it under ``"run"``; files written while the
-    solver had selectable backends carry one row per backend under
-    ``"backends"``, of which the ``"numpy"`` row is the array core
-    every solve now runs."""
-    row = block.get("run")
-    if row is None:
-        row = (block.get("backends") or {}).get("numpy")
-    return row if isinstance(row, dict) else None
-
-
-def bench_profile(
-    n_areas: int | None,
-    bench_path: str | None = None,
-) -> dict | None:
-    """The BENCH_scaling.json solve row nearest *n_areas*
-    (``{construction_seconds, tabu_seconds, wall_seconds, ...}``), or
-    ``None`` when the bench file or a usable row is missing."""
-    bench = _load_bench(bench_path)
-    if not bench or n_areas is None:
-        return None
-    best: dict | None = None
-    best_gap = None
-    for entry in (bench.get("datasets") or {}).values():
-        size = entry.get("n_areas")
-        row = scaling_row(entry)
-        if size is None or row is None:
-            continue
-        gap = abs(int(size) - int(n_areas))
-        if best_gap is None or gap < best_gap:
-            best_gap, best = gap, row
-    return best
 
 
 def _normalize(weights: dict) -> dict:
@@ -105,45 +43,6 @@ def _normalize(weights: dict) -> dict:
     if total <= 0.0:
         return dict(DEFAULT_WEIGHTS)
     return {k: max(float(v), 0.0) / total for k, v in weights.items()}
-
-
-def calibrate_weights(
-    n_areas: int | None,
-    bench_path: str | None = None,
-) -> dict:
-    """Phase weights ``{phase: share of wall}`` for a solve of
-    *n_areas* areas, calibrated from BENCH_scaling.json when present
-    (nearest dataset size), else :data:`DEFAULT_WEIGHTS`."""
-    row = bench_profile(n_areas, bench_path=bench_path)
-    if row is None:
-        return dict(DEFAULT_WEIGHTS)
-    construction = float(row.get("construction_seconds") or 0.0)
-    tabu = float(row.get("tabu_seconds") or 0.0)
-    if construction <= 0.0 and tabu <= 0.0:
-        return dict(DEFAULT_WEIGHTS)
-    feasibility = construction * _FEASIBILITY_SHARE_OF_CONSTRUCTION
-    return _normalize(
-        {
-            "feasibility": feasibility,
-            "construction": construction - feasibility,
-            "tabu": tabu,
-        }
-    )
-
-
-def weights_for_spec(spec: dict | None) -> dict:
-    """Calibrated weights for a service job spec (dataset name + scale
-    resolve to an area count via the dataset registry)."""
-    spec = spec or {}
-    n_areas = None
-    try:
-        from ..data.datasets import DATASETS
-
-        entry = DATASETS[spec.get("dataset")]
-        n_areas = max(1, int(entry.n_areas * float(spec.get("scale") or 1.0)))
-    except Exception:
-        n_areas = None
-    return calibrate_weights(n_areas)
 
 
 def _base_phase(phase: str) -> str:

@@ -1,7 +1,7 @@
 """Crash-safe file writes: temp file + ``os.replace`` + directory fsync.
 
 Several durability features — the solver checkpoint files, the bench
-journal, the service job journal, ``BENCH_*.json`` results — are
+journal, the service job journal, the run event log — are
 written by processes that can die at any instant (SIGALRM watchdogs,
 per-cell deadlines, injected faults, plain OOM kills). A plain
 ``open(path, "w")`` that dies mid-write leaves a truncated file, which

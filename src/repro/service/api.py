@@ -57,7 +57,7 @@ from ..exceptions import InfeasibleProblemError, JobError, ReproError
 from ..obs.exporters import final_metrics_snapshot, prometheus_text
 from ..obs.health import HealthState, StallDetector
 from ..obs.metrics import MetricsRegistry
-from ..obs.progress import ProgressModel, weights_for_spec
+from ..obs.progress import ProgressModel
 from ..preflight import run_preflight
 from .jobs import JobSpec, JobState
 from .store import JobStore
@@ -242,8 +242,7 @@ class ServiceAPI:
             "histograms": dict(snapshot.get("histograms") or {}),
         }
         active = payload["state"] in (JobState.LEASED, JobState.RUNNING)
-        model = ProgressModel(weights_for_spec(payload.get("spec")))
-        progress = model.snapshot(
+        progress = ProgressModel().snapshot(
             events, now=self.store.clock() if active else None
         )
         extra = MetricsRegistry()

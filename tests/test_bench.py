@@ -166,26 +166,6 @@ class TestBenchSchema:
         assert replayed.telemetry == {}
         assert replayed.p > 0
 
-    def test_read_bench_record_accepts_old_records(self, tmp_path):
-        import json
-
-        from repro.bench.micro import read_bench_record
-
-        path = tmp_path / "BENCH_tabu.json"
-        path.write_text(json.dumps({"mean_seconds": 1.0, "n_areas": 300}))
-        record = read_bench_record(str(path))
-        assert record["mean_seconds"] == 1.0
-        assert record["schema_version"] == 1
-        assert record["telemetry"] == {}
-
-    def test_read_bench_record_missing_or_garbage(self, tmp_path):
-        from repro.bench.micro import read_bench_record
-
-        assert read_bench_record(str(tmp_path / "absent.json")) is None
-        garbage = tmp_path / "garbage.json"
-        garbage.write_text("{ not json")
-        assert read_bench_record(str(garbage)) is None
-
     def test_enriched_workload_covers_all_five_families(self):
         from repro.bench.workloads import enriched_constraints
 
@@ -198,154 +178,14 @@ class TestBenchSchema:
             "COUNT",
         }
 
-    def test_scaling_payload_shape(self):
-        from repro.bench.micro import run_scaling
-        from repro.bench.runner import BENCH_SCHEMA_VERSION
+    def test_bench_cli_has_only_the_report_command(self, capsys):
+        from repro.bench.__main__ import main
 
-        # Small but not tiny: the workload's SUM(TOTALPOP) >= 800k
-        # lower bound needs enough areas for a non-degenerate p > 1
-        # partition.
-        result = run_scaling(datasets=("2k",), scale=0.3)
-        assert result["schema_version"] == BENCH_SCHEMA_VERSION
-        assert result["workload"] == "enriched"
-        assert result["all_complete"]
-        assert result["numpy_version"]
-        block = result["datasets"]["2k"]
-        assert block["p"] > 1
-        run = block["run"]
-        assert run["status"] == "complete"
-        assert run["wall_seconds"] >= run["tabu_seconds"] >= 0.0
-        # The ~260-area regions of this workload take the vector derive.
-        assert run["vector_derives"] > 0
-
-    def test_micro_without_a_mode_is_a_usage_error(self, capsys):
-        from repro.bench import micro
-
-        with pytest.raises(SystemExit) as exit_info:
-            micro.main(["--smoke"])
-        assert exit_info.value.code == 2
-        assert "--scaling or --profile" in capsys.readouterr().err
-
-
-class TestPerfGate:
-    """The scaling perf-regression gate (compare_perf_to_baseline)."""
-
-    @staticmethod
-    def _row(rebuilds, incremental, evals, derives):
-        return {
-            "oracle_rebuilds": rebuilds,
-            "oracle_incremental": incremental,
-            "candidate_evaluations": evals,
-            "vector_derives": derives,
-        }
-
-    @classmethod
-    def _record(cls, rebuilds, incremental, evals, derives):
-        row = cls._row(rebuilds, incremental, evals, derives)
-        return {"datasets": {"2k": {"run": row}}}
-
-    def test_rates_shape_and_values(self):
-        from repro.bench.micro import _perf_rates
-
-        row = self._record(10, 990, 30_000, 200)
-        rates = _perf_rates(row["datasets"]["2k"]["run"])
-        assert rates["oracle_rebuild_share"] == (0.01, 1000)
-        assert rates["candidate_evals_per_derive"] == (150.0, 200)
-
-    def test_rates_none_when_counters_missing_or_empty(self):
-        from repro.bench.micro import _perf_rates
-
-        # A pre-oracle baseline row (only the old counter subset).
-        old = {"candidate_evaluations": 5000, "vector_derives": 0}
-        rates = _perf_rates(old)
-        assert rates["oracle_rebuild_share"] == (None, 0)
-        assert rates["candidate_evals_per_derive"] == (None, 0)
-
-    def test_verdict_needs_relative_and_absolute_gap(self):
-        from repro.bench.micro import _perf_verdict
-
-        # 3x relative blowup with a large absolute gap: regression.
-        assert _perf_verdict(
-            "candidate_evals_per_derive", 450.0, 150.0
-        ) == "REGRESSION"
-        # 3x relative on a near-zero baseline: absolute slack absorbs it.
-        assert _perf_verdict(
-            "oracle_rebuild_share", 0.003, 0.001
-        ) == "NEUTRAL"
-        # Large improvement in both senses: win.
-        assert _perf_verdict(
-            "candidate_evals_per_derive", 50.0, 300.0
-        ) == "WIN"
-        # Within 2x either way: neutral.
-        assert _perf_verdict(
-            "candidate_evals_per_derive", 200.0, 150.0
-        ) == "NEUTRAL"
-
-    def test_compare_flags_regression(self):
-        from repro.bench.micro import compare_perf_to_baseline
-
-        baseline = self._record(10, 9990, 150_000, 1000)
-        # Oracle silently falling back to full rebuilds: share 0.001→1.
-        current = self._record(10_000, 0, 150_000, 1000)
-        gate = compare_perf_to_baseline(current, baseline)
-        assert gate["overall"] == "REGRESSION"
-        by_metric = {c["metric"]: c for c in gate["comparisons"]}
-        assert by_metric["oracle_rebuild_share"]["verdict"] == "REGRESSION"
-        assert (
-            by_metric["candidate_evals_per_derive"]["verdict"] == "NEUTRAL"
-        )
-
-    def test_compare_insufficient_volume_is_neutral(self):
-        from repro.bench.micro import compare_perf_to_baseline
-
-        baseline = self._record(10, 9990, 150_000, 1000)
-        # A smoke-scale run: 1 rebuild, 0 incremental, 3 derives — the
-        # rates are garbage (share = 1.0) but there is no volume.
-        current = self._record(1, 0, 1200, 3)
-        gate = compare_perf_to_baseline(current, baseline)
-        assert gate["overall"] == "NEUTRAL"
-        for entry in gate["comparisons"]:
-            assert entry["verdict"] == "NEUTRAL"
-            assert entry["insufficient_volume"] is True
-
-    def test_compare_without_baseline_is_neutral(self):
-        from repro.bench.micro import compare_perf_to_baseline
-
-        current = self._record(10, 9990, 150_000, 1000)
-        for baseline in (None, {}, {"datasets": {}}):
-            gate = compare_perf_to_baseline(current, baseline)
-            assert gate["overall"] == "NEUTRAL"
-            assert gate["comparisons"] == []
-            assert gate["baseline_found"] is False
-
-    def test_compare_reports_win(self):
-        from repro.bench.micro import compare_perf_to_baseline
-
-        # The pre-incremental world: every refresh was a full rebuild.
-        baseline = self._record(10_000, 0, 150_000, 1000)
-        current = self._record(10, 9990, 150_000, 1000)
-        gate = compare_perf_to_baseline(current, baseline)
-        assert gate["overall"] == "WIN"
-
-    def test_compare_grades_legacy_per_backend_baseline(self):
-        from repro.bench.micro import compare_perf_to_baseline
-
-        # Files written while the solver had selectable backends carry
-        # one row per backend; the numpy row is the one graded.
-        baseline = {
-            "datasets": {
-                "2k": {
-                    "backends": {
-                        "python": self._row(10_000, 0, 150_000, 0),
-                        "numpy": self._row(10, 9990, 150_000, 1000),
-                    }
-                }
-            }
-        }
-        current = self._record(10_000, 0, 150_000, 1000)
-        gate = compare_perf_to_baseline(current, baseline)
-        assert gate["overall"] == "REGRESSION"
-        assert {c["dataset"] for c in gate["comparisons"]} == {"2k"}
+        assert main([]) == 0
+        usage = capsys.readouterr().out
+        assert "report" in usage and "micro" not in usage
+        assert main(["micro", "--scaling"]) == 2
+        assert "unknown command: 'micro'" in capsys.readouterr().err
 
 
 class TestTables:

@@ -183,13 +183,13 @@ class TestMetricsRegistry:
     def test_absorb_perf_is_idempotent_on_cumulative_structs(self):
         perf = PerfCounters()
         perf.contiguity_checks = 10
-        perf.record_seconds("tabu", 1.5)
         registry = MetricsRegistry()
         registry.absorb_perf(perf)
         registry.absorb_perf(perf)  # same cumulative struct again
         assert registry.counter("perf_contiguity_checks").current() == 10.0
-        values = registry.label_values("phase_seconds", "phase")
-        assert values["tabu"] == pytest.approx(1.5)
+        perf.contiguity_checks = 12
+        registry.absorb_perf(perf)
+        assert registry.counter("perf_contiguity_checks").current() == 12.0
 
 
 class TestEventLog:

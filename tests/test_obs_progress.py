@@ -28,14 +28,7 @@ from repro.obs.console import FleetClient, FleetTop, render_top, run_tail, run_t
 from repro.obs.events import EventLog
 from repro.obs.health import HealthState, StallDetector
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.progress import (
-    DEFAULT_WEIGHTS,
-    PHASES,
-    ProgressModel,
-    calibrate_weights,
-    eta_error,
-    weights_for_spec,
-)
+from repro.obs.progress import ProgressModel, eta_error
 from repro.service import JobSpec, JobStore, ServiceWorker
 from repro.service.api import health_sweep, serve
 
@@ -176,29 +169,6 @@ class TestProgressModel:
         assert snap["fraction"] == 0.0
         assert snap["phase"] is None
         assert snap["eta_seconds"] is None
-
-
-class TestCalibration:
-    def test_weights_calibrate_from_checked_in_bench(self):
-        weights = calibrate_weights(10_000)
-        assert set(weights) == set(PHASES)
-        assert sum(weights.values()) == pytest.approx(1.0)
-        assert weights["tabu"] > 0.5  # tabu dominates at scale
-
-    def test_missing_bench_file_falls_back_to_defaults(self, tmp_path):
-        weights = calibrate_weights(
-            10_000, bench_path=str(tmp_path / "missing.json")
-        )
-        assert weights == DEFAULT_WEIGHTS
-
-    def test_weights_for_spec_resolves_the_registry(self):
-        weights = weights_for_spec(SPEC)
-        assert sum(weights.values()) == pytest.approx(1.0)
-        # Unknown dataset / malformed spec degrade to defaults.
-        assert weights_for_spec({"dataset": "no-such"}) == calibrate_weights(
-            None
-        )
-        assert weights_for_spec(None) == calibrate_weights(None)
 
 
 class TestEtaError:

@@ -156,7 +156,7 @@ class TestRunArtifacts:
             key for key in snapshot["counters"]
             if key.startswith("phase_seconds{")
         ]
-        assert phase_keys  # PerfCounters timings absorbed into metrics
+        assert phase_keys  # the solver's per-phase wall clock
         assert "# TYPE repro_phase_seconds counter" in (
             metrics_path.read_text()
         )

@@ -1,0 +1,57 @@
+"""Counter-rate tripwire for the two hot paths that keep a solve fast.
+
+One deterministic solve (registry ``2k`` at scale 0.3, the enriched
+workload, seed 7, ``bench_config``) and two machine-independent rates
+read from its :class:`repro.core.perf.PerfCounters`:
+
+- ``oracle_rebuild_share`` — full Hopcroft–Tarjan rebuilds as a share
+  of all contiguity-oracle refreshes. The incremental block-cut oracle
+  keeps it near 0; if it silently falls back to full rebuilds the
+  share climbs toward 1.
+- ``candidate_evals_per_derive`` — (candidate, receiver) pairs priced
+  per vectorized move derive. A blowup means move derivation lost its
+  dedup or feasibility pruning.
+
+Each bound is ``max(2 x base, base + slack)`` over the full-scale 2k
+rates measured when the incremental oracle landed (9 rebuilds in
+18,759 refreshes; 2,764,849 evaluations over 18,852 derives), with
+slack 0.05 and 50 respectively. The counts are deterministic, so the
+test cannot flap on a slow machine.
+"""
+
+from __future__ import annotations
+
+import pytest
+
+from repro.bench.runner import bench_config
+from repro.bench.workloads import enriched_constraints
+from repro.data.datasets import load_dataset
+from repro.fact import FaCT
+from repro.runtime import RunStatus
+
+MAX_ORACLE_REBUILD_SHARE = 0.0505
+MAX_CANDIDATE_EVALS_PER_DERIVE = 293.3
+# Below these volumes a rate says nothing.
+MIN_ORACLE_REFRESHES = 200
+MIN_VECTOR_DERIVES = 50
+
+
+@pytest.fixture(scope="module")
+def perf():
+    collection = load_dataset("2k", scale=0.3)
+    config = bench_config(len(collection), rng_seed=7)
+    solution = FaCT(config).solve(collection, enriched_constraints())
+    assert solution.status is RunStatus.COMPLETE
+    return solution.perf
+
+
+def test_oracle_rebuild_share(perf):
+    refreshes = perf.oracle_rebuilds + perf.oracle_incremental
+    assert refreshes >= MIN_ORACLE_REFRESHES
+    assert perf.oracle_rebuilds / refreshes <= MAX_ORACLE_REBUILD_SHARE
+
+
+def test_candidate_evaluations_per_vector_derive(perf):
+    assert perf.vector_derives >= MIN_VECTOR_DERIVES
+    rate = perf.candidate_evaluations / perf.vector_derives
+    assert rate <= MAX_CANDIDATE_EVALS_PER_DERIVE

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
@@ -310,6 +311,44 @@ class TestMetricsEndpoints:
             if line.startswith("repro_job_progress_fraction ")
         )
         assert 0.0 <= fraction <= 1.0
+
+    def test_job_progress_is_the_scored_model(self, api, store):
+        # A registry-dataset job caught mid-Tabu. The fraction the
+        # service serves must come from the same model that
+        # SolveTelemetry.summary() scores with eta_error: ProgressModel()
+        # with no per-job weights.
+        from repro.obs.progress import ProgressModel
+
+        _, payload = api.dispatch(
+            "POST", "/jobs", {}, {"dataset": "2k", "scale": 0.15}
+        )
+        job_id = payload["job_id"]
+        log = [
+            ("run.start", 0.0, {}),
+            ("progress", 0.1, {"phase": "feasibility", "done": 1, "total": 1}),
+            ("metrics.snapshot", 0.2, {"phase": "feasibility"}),
+            ("progress", 0.9, {"phase": "construction", "done": 1, "total": 1}),
+            ("metrics.snapshot", 1.0, {"phase": "construction"}),
+            ("progress", 2.0, {"phase": "tabu.search", "done": 30, "total": 100}),
+        ]
+        os.makedirs(store.job_dir(job_id), exist_ok=True)
+        with open(store.events_path(job_id), "w", encoding="utf-8") as handle:
+            for kind, ts, fields in log:
+                record = {"schema": 1, "kind": kind, "ts": ts, "mono": ts}
+                handle.write(json.dumps({**record, **fields}) + "\n")
+
+        status, text, _ = api.dispatch(
+            "GET", f"/jobs/{job_id}/metrics", {}, None
+        )
+        assert status == 200
+        served = next(
+            float(line.split()[-1])
+            for line in text.splitlines()
+            if line.startswith("repro_job_progress_fraction ")
+        )
+        expected = ProgressModel().snapshot(store.read_events(job_id))
+        assert 0.0 < served < 1.0
+        assert served == expected["fraction"]
 
     def test_job_metrics_unknown_job_is_404(self, api):
         outcome = api.dispatch("GET", "/jobs/j-missing/metrics", {}, None)
