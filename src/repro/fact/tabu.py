@@ -183,11 +183,13 @@ def tabu_improve(
         initial_h = current_h
         best_h = current_h
 
-        # Labels are maintained incrementally (O(1) per move) so a new-best
-        # snapshot is one C-level dict copy instead of a Python pass over
-        # the whole collection.
+        # Labels are maintained incrementally (O(1) per move). The best
+        # snapshot is implicit: `trail` records (area, previous label)
+        # for every move since the last new best, kicks included, and
+        # is unwound once at the end instead of copying the whole dict
+        # at each new best.
         labels = _initial_labels(state)
-        best_labels = dict(labels)
+        trail: list[tuple[int, int]] = []
 
         pool = _MovePool(state, objective)
         tabu_until: dict[_MoveKey, int] = {}
@@ -202,6 +204,7 @@ def tabu_improve(
                 break
             delta, area_id, donor_id, receiver_id = kick
             state.move(area_id, state.regions[receiver_id])
+            trail.append((area_id, labels[area_id]))
             labels[area_id] = receiver_id
             current_h += delta
             moves_applied += 1
@@ -225,6 +228,7 @@ def tabu_improve(
             delta, area_id, donor_id, receiver_id = chosen
             receiver = state.regions[receiver_id]
             state.move(area_id, receiver)
+            trail.append((area_id, labels[area_id]))
             labels[area_id] = receiver_id
             current_h += delta
             moves_applied += 1
@@ -234,7 +238,7 @@ def tabu_improve(
             pool.after_move(area_id, donor_id, receiver_id)
             if current_h < best_h - 1e-9:
                 best_h = current_h
-                best_labels = dict(labels)
+                trail.clear()
                 no_improve = 0
             else:
                 no_improve += 1
@@ -247,8 +251,10 @@ def tabu_improve(
                     patience=patience,
                 )
 
+        for area_id, previous in reversed(trail):
+            labels[area_id] = previous
         result = TabuResult(
-            partition=Partition.from_labels(best_labels),
+            partition=Partition.from_labels(labels),
             heterogeneity_before=initial_h,
             heterogeneity_after=best_h,
             iterations=iterations,

@@ -286,7 +286,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     _add_retry(worker_cmd)
     worker_cmd.add_argument("--worker-id", default=None)
     worker_cmd.add_argument(
-        "--poll-seconds", type=float, default=0.2, metavar="SECONDS"
+        "--poll-seconds", type=float, default=0.2, metavar="SECONDS",
+        help="cap on the idle wait; journal appends, retry windows and "
+        "lease expiries wake the worker sooner (default 0.2)",
     )
     worker_cmd.add_argument(
         "--heartbeat-seconds", type=float, default=None, metavar="SECONDS"

@@ -28,6 +28,12 @@ an ``fcntl.flock`` on ``<root>/lock`` plus an in-process re-entrant
 lock, and replay is *incremental* — each process remembers its byte
 offset and folds only the records appended since.
 
+Waking idle workers: every writer appends to the journal, so its size
+is the wake signal. :meth:`JobStore.wait_for_change` polls it with one
+``stat`` every :data:`_WAKE_TICK_SECONDS` and returns on the first
+append from any process; no wake can be lost and no FIFO, socket or
+extra file is needed.
+
 Fault injection: the store fires the ``service.*`` checkpoints
 (:data:`repro.service.SERVICE_CHECKPOINTS`) before each journal append
 and around lease/result activity, so chaos tests can kill the service
@@ -65,6 +71,9 @@ __all__ = ["JobStore"]
 _JOURNAL = "journal.jsonl"
 _LOCKFILE = "lock"
 _RECORD_VERSION = 1
+# How often an idle wait re-reads the journal size: the worst-case
+# pickup delay after an append, against ~200 stat calls a second.
+_WAKE_TICK_SECONDS = 0.005
 
 
 class JobStore:
@@ -108,6 +117,9 @@ class JobStore:
         self._local_lock = threading.RLock()
         self._jobs: dict[str, Job] = {}
         self._offset = 0
+        # Journal size at our last read; differs from _offset by a torn
+        # tail, which must not count as a change to wait for.
+        self._seen_size = 0
         self._seq = 0
         # Fleet counters, folded deterministically from the journal —
         # every process sharing the store derives the same numbers.
@@ -165,6 +177,7 @@ class JobStore:
             size = os.path.getsize(self._journal_path)
         except OSError:
             return
+        self._seen_size = size
         if size <= self._offset:
             return
         with open(self._journal_path, "rb") as handle:
@@ -306,7 +319,54 @@ class JobStore:
             torn = False
         append_line(self._journal_path, ("\n" if torn else "") + line)
         self._fold(record)
-        self._offset = os.path.getsize(self._journal_path)
+        self._offset = self._seen_size = os.path.getsize(self._journal_path)
+
+    # ------------------------------------------------------------------
+    # waiting
+    # ------------------------------------------------------------------
+    def wait_for_change(self, timeout: float, stop=None) -> bool:
+        """Block until the journal changes or timed work comes due.
+
+        Returns ``True`` as soon as the journal's size differs from
+        what this handle last read: any record from any process (a
+        submit, a cancel, a requeue) wakes every waiting handle.
+        Returns ``False`` when *stop* (a zero-argument callable) turns
+        true, when the earliest timed transition the folded state
+        knows of comes due (a queued job's retry window ending, a
+        lease expiring), or after *timeout* seconds, whichever is
+        first. No lock is taken while waiting.
+        """
+        started = time.monotonic()
+        limit = started + max(0.0, timeout)
+        now = self.clock()
+        due = self._next_due(now)
+        if due is not None:
+            limit = min(limit, started + (due - now))
+        while True:
+            try:
+                size = os.path.getsize(self._journal_path)
+            except OSError:
+                size = 0
+            if size != self._seen_size:
+                return True
+            if stop is not None and stop():
+                return False
+            remaining = limit - time.monotonic()
+            if remaining <= 0:
+                return False
+            time.sleep(min(_WAKE_TICK_SECONDS, remaining))
+
+    def _next_due(self, now: float) -> float | None:
+        """The earliest future retry-window end or lease expiry."""
+        with self._local_lock:
+            due = [
+                job.not_before
+                if job.state == JobState.QUEUED
+                else job.lease_expires_at
+                for job in self._jobs.values()
+                if job.state in ACTIVE_STATES
+            ]
+        return min((t for t in due if t is not None and t > now), default=None)
 
     # ------------------------------------------------------------------
     # paths

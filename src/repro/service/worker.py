@@ -44,7 +44,6 @@ from __future__ import annotations
 import json
 import os
 import re
-import time
 import traceback
 import uuid
 
@@ -88,7 +87,11 @@ class ServiceWorker:
     worker_id:
         Stable identity in leases/journal records; generated if omitted.
     poll_seconds:
-        Idle sleep between claim attempts in :meth:`run_forever`.
+        Cap on the idle wait in :meth:`run_forever`. An idle worker
+        re-runs its reap+claim pass as soon as the journal changes
+        (any submit, cancel or requeue from any process), a queued
+        job's retry window ends, a lease expires or :meth:`drain` is
+        called, and otherwise once per *poll_seconds*.
     heartbeat_seconds:
         Default beat interval; a job config's ``heartbeat_seconds``
         overrides it, and both default to a third of the job's lease.
@@ -152,7 +155,9 @@ class ServiceWorker:
             if max_jobs is not None and self.jobs_run >= max_jobs:
                 break
             if not self.run_once():
-                time.sleep(self.poll_seconds)
+                self.store.wait_for_change(
+                    self.poll_seconds, stop=lambda: self._draining
+                )
         return self.jobs_run
 
     # ------------------------------------------------------------------

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import os
+import time
 
 import pytest
 
@@ -314,6 +315,21 @@ class TestJournalRecovery:
         assert parsed[-1] is not None  # the repaired append is intact
         assert sum(1 for p in parsed if p is None) == 1  # just the torn line
         assert store.get(job.job_id).state == JobState.LEASED
+
+    def test_waiting_handle_wakes_on_appends_not_on_a_torn_tail(
+        self, store, clock
+    ):
+        other = JobStore(store.root, clock=clock)
+        store.submit(spec())
+        assert other.wait_for_change(5.0)  # another handle's submit
+        with open(os.path.join(store.root, "journal.jsonl"), "ab") as handle:
+            handle.write(b'{"kind": "transi')
+        other.jobs()  # folds up to the torn tail and no further
+        started = time.monotonic()
+        assert not other.wait_for_change(0.2)
+        assert time.monotonic() - started >= 0.15
+        store.claim("w")  # repairs the tail with a complete record
+        assert other.wait_for_change(5.0)
 
     def test_unparseable_submit_is_counted_not_silently_dropped(
         self, store, clock

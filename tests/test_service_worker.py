@@ -192,6 +192,124 @@ class TestDrainAndResume:
         assert worker.run_forever() == 0
 
 
+def wait_until(predicate, timeout: float) -> bool:
+    deadline = time.monotonic() + timeout
+    while time.monotonic() < deadline:
+        if predicate():
+            return True
+        time.sleep(0.01)
+    return predicate()
+
+
+class TestIdleWake:
+    """An idle worker waits on the journal, not on a fixed sleep.
+
+    Every worker here has ``poll_seconds=30``, so anything that happens
+    within a few seconds happened because the wait woke early.
+    """
+
+    @staticmethod
+    def start_idle(store: JobStore, worker_id: str):
+        worker = ServiceWorker(store, worker_id=worker_id, poll_seconds=30.0)
+        thread = threading.Thread(target=worker.run_forever, daemon=True)
+        thread.start()
+        return worker, thread
+
+    @staticmethod
+    def stop(worker: ServiceWorker, thread: threading.Thread) -> None:
+        worker.drain()
+        thread.join(timeout=5.0)
+        assert not thread.is_alive()
+
+    def test_submit_from_another_handle_wakes_the_worker(self, tmp_path):
+        store = make_store(tmp_path)
+        worker, thread = self.start_idle(store, "w-wake")
+        time.sleep(0.3)  # past the first (empty) claim pass
+        other = JobStore(store.root)
+        job = other.submit(make_spec())
+        try:
+            assert wait_until(
+                lambda: other.get(job.job_id).state == JobState.COMPLETED,
+                timeout=5.0,
+            )
+        finally:
+            self.stop(worker, thread)
+        assert worker.jobs_run == 1
+
+    def test_drain_ends_the_idle_wait(self, tmp_path):
+        store = make_store(tmp_path)
+        worker, thread = self.start_idle(store, "w-drain")
+        time.sleep(0.3)
+        started = time.monotonic()
+        worker.drain()
+        thread.join(timeout=1.0)
+        assert not thread.is_alive()
+        assert time.monotonic() - started < 1.0
+
+    def test_retry_window_end_wakes_the_worker(self, tmp_path):
+        store = make_store(tmp_path)
+        failing = JobStore(
+            store.root,
+            retry_policy=RetryPolicy(
+                max_attempts=3, base_delay_seconds=0.5, jitter_ratio=0.0
+            ),
+        )
+        job = failing.submit(make_spec())
+        failing.claim("w-gone")
+        failing.fail(job.job_id, "w-gone", "boom", retryable=True)
+        requeued = failing.get(job.job_id)
+        assert requeued.state == JobState.QUEUED
+        assert requeued.not_before > time.time()
+        failed_at = time.monotonic()
+        worker, thread = self.start_idle(store, "w-retry")
+        try:
+            assert wait_until(
+                lambda: store.get(job.job_id).attempts == 2, timeout=2.0
+            )
+            assert time.monotonic() - failed_at >= 0.4
+            assert wait_until(
+                lambda: store.get(job.job_id).state == JobState.COMPLETED,
+                timeout=10.0,
+            )
+        finally:
+            self.stop(worker, thread)
+
+    def test_lease_expiry_wakes_the_reaper(self, tmp_path):
+        store = make_store(tmp_path)
+        short = JobStore(store.root, lease_seconds=0.5)
+        job = short.submit(make_spec())
+        short.claim("w-crashed")  # never heartbeats, never appends again
+        worker, thread = self.start_idle(store, "w-reaper")
+        try:
+            assert wait_until(
+                lambda: store.get(job.job_id).state == JobState.COMPLETED,
+                timeout=5.0,
+            )
+        finally:
+            self.stop(worker, thread)
+        final = store.get(job.job_id)
+        assert final.attempts == 2
+        assert final.worker_id == "w-reaper"
+
+    def test_unchanged_journal_costs_one_claim_per_window(self, tmp_path):
+        store = make_store(tmp_path)
+        calls = []
+        claim = store.claim
+
+        def counting_claim(*args, **kwargs):
+            calls.append(time.monotonic())
+            return claim(*args, **kwargs)
+
+        store.claim = counting_claim
+        worker = ServiceWorker(store, worker_id="w-quiet", poll_seconds=0.5)
+        thread = threading.Thread(target=worker.run_forever, daemon=True)
+        thread.start()
+        time.sleep(1.6)
+        self.stop(worker, thread)
+        # Claims at 0, 0.5, 1.0 and 1.5 s: at most one per window.
+        assert 1 <= len(calls) <= 4
+
+
 class TestServiceConfigKnobs:
     """FaCTConfig carries the service execution contract; bad values
     must bounce at construction (satellite: config validation)."""

@@ -81,6 +81,60 @@ class TestBasicBehavior:
         result = tabu_improve(state, FaCTConfig(tabu_max_no_improve=50))
         assert result.partition.validate(small_census, constraints) == []
 
+    @pytest.mark.parametrize("kicks", [0, 5])
+    def test_result_partition_scores_the_reported_best(
+        self, small_census, kicks
+    ):
+        # The search ends past its best (patience runs out on a
+        # non-improving streak), so the returned partition is the final
+        # one with every move since the last new best undone, kicks
+        # included: it must score exactly the reported best.
+        constraints = ConstraintSet(
+            [sum_constraint("TOTALPOP", lower=15000)]
+        )
+        state = SolutionState(small_census, constraints)
+        from repro.fact import adjust_counting
+        import random
+
+        for area_id in small_census.ids:
+            state.new_region([area_id])
+        adjust_counting(state, FaCTConfig(), random.Random(0))
+        result = tabu_improve(
+            state,
+            FaCTConfig(tabu_max_no_improve=20),
+            rng=random.Random(3),
+            perturbation_moves=kicks,
+        )
+        assert result.moves_applied > 0
+        assert state.total_heterogeneity() > result.heterogeneity_after
+        assert result.partition.heterogeneity(small_census) == pytest.approx(
+            result.heterogeneity_after
+        )
+
+    def test_kicks_alone_leave_the_input_as_best(self, small_census):
+        # The best snapshot is taken before the kicks; with no search
+        # iterations after them the input partition is the answer.
+        constraints = ConstraintSet(
+            [sum_constraint("TOTALPOP", lower=15000)]
+        )
+        state = SolutionState(small_census, constraints)
+        from repro.fact import adjust_counting
+        import random
+
+        for area_id in small_census.ids:
+            state.new_region([area_id])
+        adjust_counting(state, FaCTConfig(), random.Random(0))
+        before = state.to_partition()
+        result = tabu_improve(
+            state,
+            FaCTConfig(tabu_max_iterations=0),
+            rng=random.Random(3),
+            perturbation_moves=5,
+        )
+        assert result.moves_applied == 5
+        assert state.to_partition() != before
+        assert result.partition == before
+
 
 class TestStoppingRules:
     def test_zero_iteration_cap_means_no_moves(self):
