@@ -60,7 +60,11 @@ class Objective(ABC):
 
     @abstractmethod
     def delta_move(self, donor: Region, receiver: Region, area_id: int) -> float:
-        """Score change if *area_id* moved from *donor* to *receiver*."""
+        """Score change if *area_id* moved from *donor* to *receiver*.
+
+        Must be a function of the two regions' memberships alone: the
+        Tabu move pool keeps a priced move while neither region's
+        membership changed."""
 
     def apply_move(self, donor_id: int, receiver_id: int, area_id: int) -> None:
         """Update caches after the move was executed (default: none)."""

@@ -18,14 +18,18 @@ Classic Tabu mechanics (Glover & Laguna):
   dataset size), or when no admissible move exists.
 
 The candidate-move pool is maintained incrementally: after a move,
-only regions whose state changed (donor, receiver) have their incident
-moves re-derived, mirroring the paper's "update the valid moves …
-in the region updated by the previous move". On top of the pool sits a
-**lazy min-heap index**: every derived move is pushed once, entries are
-invalidated by a per-donor generation stamp instead of being searched
-for, and the per-iteration "best admissible move" query pops a handful
-of entries instead of scanning the entire pool — O(log m) amortized
-versus O(m) per iteration. The exhaustive reference scan lives in
+only regions whose state changed (donor, receiver, regions bordering
+the moved area) have their incident moves re-derived, mirroring the
+paper's "update the valid moves … in the region updated by the
+previous move"; a region dirty only as a neighbor re-prices just the
+pairs the move changed. On top of the pool sits a **lazy min-heap
+index**: entries are invalidated by a per-donor generation stamp or a
+superseded delta instead of being searched for, the per-iteration
+"best admissible move" query pops a handful of entries instead of
+scanning the entire pool — O(log m) amortized versus O(m) per
+iteration — and the heap is compacted to the live moves once dead
+entries outnumber them by a fixed factor, so its size stays
+proportional to the pool. The exhaustive reference scan lives in
 ``tests/oracles/hotpath_reference.py``; both order candidates by the
 same total key ``(delta, area, receiver, donor)``, so the test suite
 can replay a whole solve against it and demand an identical
@@ -41,8 +45,9 @@ the kicks, so a member never returns something worse than its input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from heapq import heappop, heappush
+from bisect import bisect_left
+from dataclasses import dataclass
+from heapq import heapify, heappop, heappush
 from random import Random
 
 import numpy as np
@@ -105,15 +110,23 @@ _PAIR_MASK = (1 << _PAIR_SHIFT) - 1
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
-# Donors smaller than this take the scalar derive: the vector path
-# pays a fixed per-derive cost (CSR gather, pair dedup, kernel
-# dispatch) that only amortizes once the donor boundary yields a few
-# dozen candidate pairs. Both paths are bit-identical by contract, so
-# this is purely a dispatch heuristic — small-region workloads (many
-# tiny regions) run at scalar speed, the scaling benchmark's
-# 250+-area regions always vectorize. Tests monkeypatch this to force
-# either path on any fixture.
-_VECTOR_MIN_DONOR = 32
+# Donors smaller than this take the scalar derive: the vector path pays
+# a fixed per-derive cost (CSR gather, pair dedup, kernel dispatch)
+# that only amortizes once the donor boundary yields a few dozen
+# candidate pairs. Both paths are bit-identical by contract, so this is
+# purely a dispatch heuristic, set at the measured crossover (DESIGN
+# §13): small-region workloads (many tiny regions) run at scalar
+# speed, the enriched workload's 250+-area regions always vectorize.
+# Tests monkeypatch this to force either path on any fixture.
+_VECTOR_MIN_DONOR = 48
+
+# Heap compaction rule: once the lazy heap holds more than
+# _COMPACT_FACTOR x live moves + _COMPACT_SLACK entries, _refresh
+# rebuilds it from the live moves. The factor bounds memory to a
+# constant multiple of the pool and makes each rebuild O(1) amortized
+# per push; the slack keeps tiny pools from rebuilding every iteration.
+_COMPACT_FACTOR = 4
+_COMPACT_SLACK = 1024
 
 # In-search progress cadence: offer a `progress` event every this many
 # iterations (the telemetry layer applies its own wall-clock bound on
@@ -284,25 +297,65 @@ def _initial_labels(state: SolutionState) -> dict[int, int]:
     return labels
 
 
+def _constraint_plan(state: SolutionState) -> tuple:
+    """The constraint set as ``(aggregate, attribute, per-area value
+    table, lower, upper)`` tuples for the scalar derive; COUNT carries
+    no attribute and no table. Table values are the same floats the
+    regions' aggregate states hold."""
+    collection = state.collection
+    tables: dict[str, dict[int, float]] = {}
+    plan = []
+    for constraint in state.constraints:
+        attribute = table = None
+        if constraint.aggregate != Aggregate.COUNT:
+            attribute = constraint.attribute
+            table = tables.get(attribute)
+            if table is None:
+                table = tables[attribute] = {
+                    area_id: float(value)
+                    for area_id, value in collection.attribute_values(
+                        attribute
+                    ).items()
+                }
+        plan.append(
+            (constraint.aggregate, attribute, table, constraint.lower,
+             constraint.upper)
+        )
+    return tuple(plan)
+
+
 class _MovePool:
     """Incrementally maintained pool of valid moves with a heap index.
 
     Moves are grouped by donor region. After an executed move only the
-    regions whose *structure* changed are fully re-derived: the donor,
-    the receiver, and regions containing a neighbor of the moved area
-    (those are the only places where moves can appear or disappear).
-    Cached entries elsewhere can still carry stale receiver-side
-    deltas — :meth:`best_admissible` therefore re-validates its chosen
-    move against live region state before returning it, correcting or
+    dirty regions are re-derived: the donor, the receiver, and regions
+    containing a neighbor of the moved area (those are the only places
+    where moves can appear or disappear). A region that is dirty only
+    as a neighbor keeps its membership (``Region._version``), so its
+    donor-side work is reused and only what the move changed is
+    re-priced (see :meth:`_derive_moves_scalar`). Cached entries of
+    clean regions can still carry stale receiver-side deltas —
+    :meth:`best_admissible` therefore re-validates its chosen move
+    against live region state before returning it, correcting or
     evicting stale entries on the spot.
 
-    The heap index holds one entry per derived move, keyed
-    ``(delta, area, receiver, donor, stamp)``. Entries are never
-    removed eagerly: a per-donor generation stamp (bumped whenever the
-    donor's moves are re-derived) and an exact match against the
-    donor's current cached delta decide validity at pop time. Entries
-    popped but still valid (tabu-skipped, or the chosen move itself)
-    are pushed back, so the heap always covers the live pool.
+    The heap index holds entries ``(delta, area, receiver, donor,
+    stamp)``. An entry is valid while its stamp is the donor's current
+    generation stamp and its delta equals the donor's cached delta for
+    that key; validity is decided at pop time, never by searching the
+    heap. The stamp is bumped when a donor's membership changed (every
+    old entry of that donor dies at once); a neighbor-only re-derive
+    keeps the stamp and pushes only the keys whose delta is new or
+    changed. Entries popped but still valid (tabu-skipped, or the
+    chosen move itself) are pushed back, so every live move keeps at
+    least one valid entry.
+
+    Dead entries are dropped in bulk: once the heap holds more than
+    ``_COMPACT_FACTOR`` × live moves + ``_COMPACT_SLACK`` entries it is
+    rebuilt from the live moves alone. A dead entry can only turn valid
+    again when its exact tuple is pushed anew (a re-derive or a
+    correction assigns that delta under that stamp, and every such
+    assignment pushes), so dropping it never changes a pop outcome.
     """
 
     def __init__(self, state: SolutionState, objective):
@@ -312,31 +365,41 @@ class _MovePool:
         self._objective = objective
         self._moves_by_donor: dict[int, dict[_MoveKey, float]] = {}
         self._dirty: set[int] = set(state.regions)
-        # Batch candidate scoring off the flat-array mirror: only for
-        # the paper objective (whose deltas close over the maintained
-        # sorted/prefix structure). Both kernels produce identical move
-        # dicts in identical insertion order.
-        self._vector = type(objective) is HeterogeneityObjective
+        # Areas moved since the last refresh: a neighbor-only dirty
+        # region re-discovers receivers only around them.
+        self._moved: list[int] = []
+        # Only the paper objective is priced off the regions'
+        # maintained sorted/prefix lists (and may take the vector
+        # kernel); any other objective prices through its own
+        # delta_move in the scalar kernel. Both kernels produce
+        # identical move dicts in identical insertion order.
+        self._heterogeneity = type(objective) is HeterogeneityObjective
+        self._plan = _constraint_plan(state)
         self._heap: list[tuple[float, int, int, int, int]] = []
         self._stamp: dict[int, int] = {}
-        # Donor-side derive cache, keyed by the donor's membership
+        # Membership version each donor's moves were last derived at.
+        self._derived_at: dict[int, int] = {}
+        # Live moves (sum of the per-donor dict sizes), kept by
+        # _refresh and best_admissible's eviction.
+        self._live = 0
+        # Donor-side derive caches, keyed by the donor's membership
         # version: after a move, regions adjacent to the moved area are
         # re-derived even though their *own* membership is unchanged
         # (only their neighborhood changed), so everything that depends
-        # solely on donor membership — candidate order, CSR gather
-        # geometry, donor-side feasibility and removal deltas —
-        # survives verbatim. Region ids are never reused, so the
-        # (id → version) key cannot alias across dissolve/new cycles.
+        # solely on donor membership survives verbatim. Region ids are
+        # never reused, so the (id → version) key cannot alias across
+        # dissolve/new cycles. `_donor_cache` serves the vector kernel
+        # (candidate order, CSR gather geometry, donor-side feasibility
+        # and removal deltas); `_rows` the scalar one (candidate rows
+        # plus their priced pairs).
         self._donor_cache: dict[int, tuple[int, tuple | None]] = {}
-
-    def mark_dirty(self, region_id: int) -> None:
-        """Schedule one region's donated moves for re-derivation."""
-        self._dirty.add(region_id)
+        self._rows: dict[int, tuple[int, list]] = {}
 
     def after_move(self, area_id: int, donor_id: int, receiver_id: int) -> None:
         """Record the structural consequences of an executed move."""
         self._dirty.add(donor_id)
         self._dirty.add(receiver_id)
+        self._moved.append(area_id)
         assignment = self._state.assignment
         for neighbor in self._state.collection.neighbors(area_id):
             neighbor_region = assignment.get(neighbor)
@@ -345,22 +408,66 @@ class _MovePool:
 
     def _refresh(self) -> None:
         heap = self._heap
+        regions = self._state.regions
+        moves_by_donor = self._moves_by_donor
+        stamps = self._stamp
+        neighbors = self._state.collection.neighbors
+        touched: set[int] = set()
+        for area_id in self._moved:
+            touched.update(neighbors(area_id))
         for region_id in self._dirty:
-            self._stamp[region_id] = stamp = self._stamp.get(region_id, 0) + 1
-            region = self._state.regions.get(region_id)
+            old = moves_by_donor.get(region_id)
+            region = regions.get(region_id)
             if region is None:
-                self._moves_by_donor.pop(region_id, None)
-                self._donor_cache.pop(region_id, None)
+                if old is not None:
+                    self._live -= len(old)
+                for cache in (
+                    moves_by_donor, stamps, self._derived_at,
+                    self._donor_cache, self._rows,
+                ):
+                    cache.pop(region_id, None)
                 continue
-            moves = self._derive_moves(region)
-            self._moves_by_donor[region_id] = moves
+            version = region._version
+            neighbor_only = (
+                old is not None and self._derived_at[region_id] == version
+            )
+            moves = self._derive_moves(
+                region, touched if neighbor_only else None
+            )
+            moves_by_donor[region_id] = moves
+            self._derived_at[region_id] = version
+            self._live += len(moves) - len(old or ())
+            if neighbor_only:
+                # Same stamp: the entries of unchanged deltas stay valid.
+                stamp = stamps[region_id]
+            else:
+                stamps[region_id] = stamp = stamps.get(region_id, 0) + 1
+                old = {}
             for (area_id, receiver_id), delta in moves.items():
-                heappush(heap, (delta, area_id, receiver_id, region_id, stamp))
+                if old.get((area_id, receiver_id)) != delta:
+                    heappush(
+                        heap, (delta, area_id, receiver_id, region_id, stamp)
+                    )
         self._dirty.clear()
+        self._moved.clear()
+        if len(heap) > _COMPACT_FACTOR * self._live + _COMPACT_SLACK:
+            self._compact()
 
-    def _derive_moves(self, donor: Region) -> dict[_MoveKey, float]:
+    def _compact(self) -> None:
+        """Rebuild the heap from the live moves alone (one entry each)."""
+        stamps = self._stamp
+        self._heap[:] = [
+            (delta, area_id, receiver_id, donor_id, stamps[donor_id])
+            for donor_id, moves in self._moves_by_donor.items()
+            for (area_id, receiver_id), delta in moves.items()
+        ]
+        heapify(self._heap)
+
+    def _derive_moves(
+        self, donor: Region, touched: set[int] | None = None
+    ) -> dict[_MoveKey, float]:
         """All valid moves donating one of *donor*'s boundary areas to
-        an adjacent region, with their heterogeneity deltas.
+        an adjacent region, with their deltas.
 
         Dispatches to the numpy batch scorer when the pool allows it
         and the donor is large enough to amortize the vector path's
@@ -368,50 +475,180 @@ class _MovePool:
         small donors. Identical output either way — same keys, same
         deltas (bit for bit), same insertion order — so the heap index
         and the tabu trajectory cannot tell the two kernels apart.
+        *touched* marks a neighbor-only re-derive (see
+        :meth:`_derive_moves_scalar`).
         """
-        if self._vector and len(donor) >= _VECTOR_MIN_DONOR:
+        if self._heterogeneity and len(donor) >= _VECTOR_MIN_DONOR:
             return self._derive_moves_vector(donor)
-        return self._derive_moves_scalar(donor)
+        return self._derive_moves_scalar(donor, touched)
 
-    def _derive_moves_scalar(self, donor: Region) -> dict[_MoveKey, float]:
-        state = self._state
-        constraints = state.constraints
+    def _derive_moves_scalar(
+        self, donor: Region, touched: set[int] | None = None
+    ) -> dict[_MoveKey, float]:
+        """Per-pair counterpart of :meth:`_derive_moves_vector`, read
+        off flat state: the pool's constraint plan, the regions'
+        aggregate states and their sorted dissimilarity lists.
+
+        The donor-side half — removable members in ascending id order
+        that the donor can spare, with their removal deltas — depends
+        only on the donor's membership and is cached as rows keyed by
+        ``Region._version``. Each row also keeps its priced pairs as
+        ``(receiver, receiver version, delta or None)``. With
+        *touched* (the neighbors of the areas moved since the last
+        refresh) and rows of the current version, only candidates in
+        *touched* recompute their receiver sets, and only pairs whose
+        receiver version moved are re-priced: every other pair is a
+        pure function of two unchanged memberships, so the result is
+        what a from-scratch derive returns.
+        """
         moves: dict[_MoveKey, float] = {}
         if len(donor) <= 1:
             return moves
-        collection = state.collection
+        donor_id = donor.region_id
+        cached = self._rows.get(donor_id)
+        if touched is None or cached is None or cached[0] != donor._version:
+            rows = self._donor_rows(donor)
+            self._rows[donor_id] = (donor._version, rows)
+            touched = None
+        else:
+            rows = cached[1]
+        state = self._state
         assignment = state.assignment
         regions = state.regions
-        perf = state.perf
-        objective = self._objective
-        # The region's contiguity oracle answers "who may leave?" for
-        # every member at once (one cached Hopcroft–Tarjan pass instead
-        # of a per-area BFS) — and the same cache then serves the O(1)
-        # re-validation in _live_delta.
-        removable = donor.removable_areas()
-        donor_id = donor.region_id
-        for area_id in sorted(donor.area_ids):
-            if area_id not in removable:
-                continue
-            receiver_ids = {
-                assignment[neighbor]
-                for neighbor in collection.neighbors(area_id)
-                if assignment.get(neighbor) is not None
-            }
-            receiver_ids.discard(donor_id)
-            if not receiver_ids:
-                continue
-            if not donor.satisfies_after_remove(constraints, area_id):
-                continue
-            for receiver_id in sorted(receiver_ids):
-                perf.candidate_evaluations += 1
-                receiver = regions[receiver_id]
-                if not receiver.satisfies_after_add(constraints, area_id):
-                    continue
-                moves[(area_id, receiver_id)] = objective.delta_move(
-                    donor, receiver, area_id
-                )
+        neighbors = state.collection.neighbors
+        price = self._price_pair
+        for row in rows:
+            area_id, d, remove_delta, pairs = row
+            if touched is None or area_id in touched:
+                receiver_ids = {
+                    region_id
+                    for neighbor in neighbors(area_id)
+                    if (region_id := assignment.get(neighbor)) is not None
+                }
+                receiver_ids.discard(donor_id)
+                previous = {pair[0]: pair for pair in pairs}
+                pairs = row[3] = []
+                for receiver_id in sorted(receiver_ids):
+                    receiver = regions[receiver_id]
+                    pair = previous.get(receiver_id)
+                    if pair is None or pair[1] != receiver._version:
+                        pair = (
+                            receiver_id,
+                            receiver._version,
+                            price(donor, receiver, area_id, d, remove_delta),
+                        )
+                    pairs.append(pair)
+            else:
+                for i, (receiver_id, version, _) in enumerate(pairs):
+                    receiver = regions[receiver_id]
+                    if version != receiver._version:
+                        pairs[i] = (
+                            receiver_id,
+                            receiver._version,
+                            price(donor, receiver, area_id, d, remove_delta),
+                        )
+            for receiver_id, _, delta in pairs:
+                if delta is not None:
+                    moves[(area_id, receiver_id)] = delta
         return moves
+
+    def _donor_rows(self, donor: Region) -> list[list]:
+        """Scalar derive rows ``[area, d, removal delta, pairs]`` of
+        every removable member whose departure keeps *donor* feasible
+        (``len(donor) >= 2``); the removal delta is ``None`` when the
+        objective prices moves itself."""
+        rows: list[list] = []
+        spare = len(donor) - 1
+        aggregates = donor._aggregates
+        checks = []
+        for aggregate, attribute, table, lower, upper in self._plan:
+            if table is None:  # COUNT
+                if not lower <= spare <= upper:
+                    return rows
+            else:
+                checks.append(
+                    (aggregate, aggregates[attribute], table, lower, upper)
+                )
+        if self._heterogeneity:
+            values, prefix = donor._struct_views()
+            total = prefix[-1]
+            size = len(values)
+        dissimilarity = donor._dissimilarities
+        for area_id in sorted(donor.removable_areas()):
+            for aggregate, agg, table, lower, upper in checks:
+                v = table[area_id]
+                if aggregate == Aggregate.SUM:
+                    value = agg.sum - v
+                elif aggregate == Aggregate.AVG:
+                    value = (agg.sum - v) / (agg.count - 1)
+                elif aggregate == Aggregate.MIN:
+                    value = agg.min
+                    if v <= value:  # the extremum may leave with it
+                        value = agg.value_after_remove(aggregate, v)
+                else:  # MAX
+                    value = agg.max
+                    if v >= value:
+                        value = agg.value_after_remove(aggregate, v)
+                if not lower <= value <= upper:
+                    break
+            else:
+                d = dissimilarity[area_id]
+                remove_delta = None
+                if self._heterogeneity:
+                    # -(sum_j |d - d_j|): Region.heterogeneity_delta_remove.
+                    k = bisect_left(values, d)
+                    below = prefix[k]
+                    remove_delta = -(
+                        (d * k - below) + ((total - below) - d * (size - k))
+                    )
+                rows.append([area_id, d, remove_delta, []])
+        return rows
+
+    def _price_pair(
+        self,
+        donor: Region,
+        receiver: Region,
+        area_id: int,
+        d: float,
+        remove_delta: float | None,
+    ) -> float | None:
+        """Delta of moving *area_id* (dissimilarity *d*) from *donor*
+        into *receiver*, or ``None`` when the receiver cannot take it —
+        ``Region.satisfies_after_add`` plus the objective's delta,
+        off the constraint plan and the receiver's aggregate states."""
+        perf = self._state.perf
+        perf.candidate_evaluations += 1
+        aggregates = receiver._aggregates
+        for aggregate, attribute, table, lower, upper in self._plan:
+            if table is None:  # COUNT
+                value = len(receiver) + 1
+            else:
+                v = table[area_id]
+                agg = aggregates[attribute]
+                if aggregate == Aggregate.SUM:
+                    value = agg.sum + v
+                elif aggregate == Aggregate.AVG:
+                    value = (agg.sum + v) / (agg.count + 1)
+                elif aggregate == Aggregate.MIN:
+                    value = agg.min
+                    if v < value:
+                        value = v
+                else:  # MAX
+                    value = agg.max
+                    if v > value:
+                        value = v
+            if not lower <= value <= upper:
+                return None
+        if remove_delta is None:
+            return self._objective.delta_move(donor, receiver, area_id)
+        # Region.heterogeneity_delta_add, off the same maintained lists.
+        perf.delta_fastpath += 2
+        values, prefix = receiver._struct_views()
+        k = bisect_left(values, d)
+        below = prefix[k]
+        return remove_delta + (
+            (d * k - below) + ((prefix[-1] - below) - d * (len(values) - k))
+        )
 
     def _derive_moves_vector(self, donor: Region) -> dict[_MoveKey, float]:
         """Batch counterpart of :meth:`_derive_moves_scalar`.
@@ -798,6 +1035,7 @@ class _MovePool:
             live = self._live_delta(area_id, donor_id, receiver_id)
             if live is None:
                 del moves[key]
+                self._live -= 1
                 continue
             if abs(live - cached) > 1e-9:
                 moves[key] = live

@@ -19,6 +19,9 @@ live membership:
   prefix sums on every query (:func:`abs_deviation_sum`);
 - compactness: coordinate sums re-summed in sorted member order
   (:func:`compactness_region_sums`, :func:`compactness_total`);
+- Tabu move derive: every boundary move of a donor re-derived through
+  the per-area ``Region.satisfies_after_*`` and ``Objective.delta_move``
+  object calls, with no cached rows (:func:`derive_moves_scalar`);
 - Tabu selection: an exhaustive scan of the move pool under the heap
   index's total order ``(delta, area, receiver, donor)``
   (:func:`best_admissible`).
@@ -180,6 +183,43 @@ def compactness_total(objective) -> float:
 # ----------------------------------------------------------------------
 
 
+def derive_moves_scalar(pool, donor: Region, touched=None) -> dict:
+    """Every valid move out of *donor* as ``{(area, receiver): delta}``
+    in (area asc, receiver asc) insertion order, derived from scratch
+    (*touched* is accepted for signature parity and ignored)."""
+    state = pool._state
+    constraints = state.constraints
+    moves: dict = {}
+    if len(donor) <= 1:
+        return moves
+    collection = state.collection
+    assignment = state.assignment
+    removable = donor.removable_areas()
+    donor_id = donor.region_id
+    for area_id in sorted(donor.area_ids):
+        if area_id not in removable:
+            continue
+        receiver_ids = {
+            assignment[neighbor]
+            for neighbor in collection.neighbors(area_id)
+            if assignment.get(neighbor) is not None
+        }
+        receiver_ids.discard(donor_id)
+        if not receiver_ids:
+            continue
+        if not donor.satisfies_after_remove(constraints, area_id):
+            continue
+        for receiver_id in sorted(receiver_ids):
+            state.perf.candidate_evaluations += 1
+            receiver = state.regions[receiver_id]
+            if not receiver.satisfies_after_add(constraints, area_id):
+                continue
+            moves[(area_id, receiver_id)] = pool._objective.delta_move(
+                donor, receiver, area_id
+            )
+    return moves
+
+
 def _scan(pool, iteration, tabu_until, current_h, best_h):
     """The admissible move minimizing ``(delta, area, receiver,
     donor)`` as ``(delta, area, donor, receiver)``, or ``None``."""
@@ -256,6 +296,9 @@ def reference_hotpaths():
         )
         patch.setattr(
             objectives.CompactnessObjective, "total", compactness_total
+        )
+        patch.setattr(
+            tabu._MovePool, "_derive_moves_scalar", derive_moves_scalar
         )
         patch.setattr(tabu._MovePool, "best_admissible", best_admissible)
         yield

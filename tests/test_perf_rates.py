@@ -1,8 +1,8 @@
-"""Counter-rate tripwire for the two hot paths that keep a solve fast.
+"""Counter-rate tripwire for the hot paths that keep a solve fast.
 
 One deterministic solve (registry ``2k`` at scale 0.3, the enriched
-workload, seed 7, ``bench_config``) and two machine-independent rates
-read from its :class:`repro.core.perf.PerfCounters`:
+workload, seed 7, ``bench_config``) and three machine-independent
+rates, two read from its :class:`repro.core.perf.PerfCounters`:
 
 - ``oracle_rebuild_share`` — full Hopcroft–Tarjan rebuilds as a share
   of all contiguity-oracle refreshes. The incremental block-cut oracle
@@ -15,8 +15,15 @@ read from its :class:`repro.core.perf.PerfCounters`:
 Each bound is ``max(2 x base, base + slack)`` over the full-scale 2k
 rates measured when the incremental oracle landed (9 rebuilds in
 18,759 refreshes; 2,764,849 evaluations over 18,852 derives), with
-slack 0.05 and 50 respectively. The counts are deterministic, so the
-test cannot flap on a slow machine.
+slack 0.05 and 50 respectively.
+
+The third rate is read off the Tabu move pool after every refresh:
+lazy-heap entries per live move. The pool compacts its heap once it
+holds more than ``4 x live + 1024`` entries, so the heap never exceeds
+that; without compaction stale entries pile up with iterations x
+boundary size (the full-scale 2k enriched solve ended at 612,280
+entries for 1,200 live moves, about 510x). The counts are
+deterministic, so the tests cannot flap on a slow machine.
 """
 
 from __future__ import annotations
@@ -26,23 +33,43 @@ import pytest
 from repro.bench.runner import bench_config
 from repro.bench.workloads import enriched_constraints
 from repro.data.datasets import load_dataset
-from repro.fact import FaCT
+from repro.fact import FaCT, tabu
 from repro.runtime import RunStatus
 
 MAX_ORACLE_REBUILD_SHARE = 0.0505
 MAX_CANDIDATE_EVALS_PER_DERIVE = 293.3
+MAX_HEAP_ENTRIES_PER_LIVE_MOVE = 4
+HEAP_SLACK_ENTRIES = 1024
 # Below these volumes a rate says nothing.
 MIN_ORACLE_REFRESHES = 200
 MIN_VECTOR_DERIVES = 50
+MIN_POOL_REFRESHES = 200
 
 
 @pytest.fixture(scope="module")
-def perf():
+def solve():
+    """The solve's counters plus ``(heap entries, live moves)`` after
+    every move-pool refresh."""
+    heap_trace = []
+    refresh = tabu._MovePool._refresh
+
+    def recording_refresh(self):
+        refresh(self)
+        live = sum(len(moves) for moves in self._moves_by_donor.values())
+        heap_trace.append((len(self._heap), live))
+
     collection = load_dataset("2k", scale=0.3)
     config = bench_config(len(collection), rng_seed=7)
-    solution = FaCT(config).solve(collection, enriched_constraints())
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(tabu._MovePool, "_refresh", recording_refresh)
+        solution = FaCT(config).solve(collection, enriched_constraints())
     assert solution.status is RunStatus.COMPLETE
-    return solution.perf
+    return solution.perf, heap_trace
+
+
+@pytest.fixture(scope="module")
+def perf(solve):
+    return solve[0]
 
 
 def test_oracle_rebuild_share(perf):
@@ -55,3 +82,13 @@ def test_candidate_evaluations_per_vector_derive(perf):
     assert perf.vector_derives >= MIN_VECTOR_DERIVES
     rate = perf.candidate_evaluations / perf.vector_derives
     assert rate <= MAX_CANDIDATE_EVALS_PER_DERIVE
+
+
+def test_heap_entries_per_live_move(solve):
+    heap_trace = solve[1]
+    assert len(heap_trace) >= MIN_POOL_REFRESHES
+    worst = max(
+        (entries - HEAP_SLACK_ENTRIES) / max(live, 1)
+        for entries, live in heap_trace
+    )
+    assert worst <= MAX_HEAP_ENTRIES_PER_LIVE_MOVE
