@@ -247,6 +247,18 @@ class ArrayState:
             self.region_coord_x[region_id] += arrays.coord_x[position]
             self.region_coord_y[region_id] += arrays.coord_y[position]
 
+    def on_clear(self, region_id: int, area_ids: Iterable[int]) -> None:
+        """Mirror ``Region._clear``: what an :meth:`on_remove` of every
+        member leaves behind (labels unassigned, the row zeroed)."""
+        index = self.arrays.index
+        self.labels[[index[area_id] for area_id in area_ids]] = UNASSIGNED
+        self.region_count[region_id] = 0
+        for sums in self.region_sums.values():
+            sums[region_id] = 0.0
+        if self.region_coord_x is not None:
+            self.region_coord_x[region_id] = 0.0
+            self.region_coord_y[region_id] = 0.0
+
     def on_remove(self, region_id: int, area_id: int) -> None:
         """Mirror one ``Region.remove_area`` membership deletion."""
         arrays = self.arrays

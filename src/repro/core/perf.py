@@ -85,16 +85,15 @@ class PerfCounters:
         (one sorted-list insertion/deletion or coordinate-sum update
         per region mutation).
     vector_derives:
-        Tabu move-pool derivations answered by the numpy batch scorer
+        Donors of two or more areas priced by the numpy batch scorer
         (:mod:`repro.core.arrays`) instead of the scalar per-candidate
-        loop. Zero when every donor is below the vector-derive size
+        loop; one batch per Tabu refresh counts each of its donors.
+        Zero when every donor is below the vector-derive size
         threshold.
     donor_cache_hits:
-        Vector derives whose donor-side payload (candidate order, CSR
-        gather geometry, donor feasibility, removal deltas) was reused
-        from the membership-version-keyed cache — the donor was
-        re-derived because a *neighboring* region changed, not its own
-        membership. Zero when no vector derive ran.
+        Always zero: the vector derive no longer caches donor-side
+        work between refreshes. The field stays because the end-to-end
+        benchmark reads it by name.
     pool_task_failures:
         Worker-pool tasks that raised, returned an unpicklable result,
         or died with their worker (each failure is retried or degraded

@@ -260,13 +260,35 @@ class Region:
     def merge(self, other: "Region") -> None:
         """Absorb all areas of *other* into this region.
 
-        The donor region is emptied. Raises if the two regions overlap.
+        This region takes *other*'s areas through :meth:`add_area` in
+        *other*'s set-iteration order, so its aggregates, sorted list,
+        ``H`` and array-mirror row are bit-identical to a
+        remove-then-add loop. *other*, which callers drop right after,
+        is emptied in one step instead of area by area. Raises if the
+        two regions overlap.
         """
         if self._areas & other._areas:
             raise InvalidAreaError("cannot merge overlapping regions")
-        for area_id in list(other._areas):
-            other.remove_area(area_id)
+        moved = list(other._areas)
+        other._clear()
+        for area_id in moved:
             self.add_area(area_id)
+
+    def _clear(self) -> None:
+        """Drop every member at once, leaving the state :meth:`remove_area`
+        leaves after the last area goes."""
+        if self._array_state is not None and self._areas:
+            self._array_state.on_clear(self.region_id, self._areas)
+        for container in (
+            self._areas, self._dissimilarities, self._induced_adj,
+            self._bc_log, self._sorted_d or [],
+        ):
+            container.clear()
+        self._aggregates = {name: AggregateState() for name in self._aggregates}
+        self._heterogeneity = 0.0
+        self._prefix_d = self._struct_np = None
+        self._contig_cache = self._bc_index = None
+        self._version += 1
 
     def copy(self, region_id: int | None = None) -> "Region":
         """Return an independent copy (used by construction restarts)."""

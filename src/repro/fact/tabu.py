@@ -21,13 +21,14 @@ The candidate-move pool is maintained incrementally: after a move,
 only regions whose state changed (donor, receiver, regions bordering
 the moved area) have their incident moves re-derived, mirroring the
 paper's "update the valid moves … in the region updated by the
-previous move"; a region dirty only as a neighbor re-prices just the
-pairs the move changed. On top of the pool sits a **lazy min-heap
-index**: entries are invalidated by a per-donor generation stamp or a
-superseded delta instead of being searched for, the per-iteration
-"best admissible move" query pops a handful of entries instead of
-scanning the entire pool — O(log m) amortized versus O(m) per
-iteration — and the heap is compacted to the live moves once dead
+previous move"; a small region dirty only as a neighbor re-prices
+just the pairs the move changed, and all large dirty regions are
+priced together in one numpy batch. On top of the pool sits a **lazy
+min-heap index**: entries are invalidated by a per-donor generation
+stamp or a superseded delta instead of being searched for, the
+per-iteration "best admissible move" query pops a handful of entries
+instead of scanning the entire pool — O(log m) amortized versus O(m)
+per iteration — and the heap is compacted to the live moves once dead
 entries outnumber them by a fixed factor, so its size stays
 proportional to the pool. The exhaustive reference scan lives in
 ``tests/oracles/hotpath_reference.py``; both order candidates by the
@@ -110,12 +111,12 @@ _PAIR_MASK = (1 << _PAIR_SHIFT) - 1
 _NEG_INF = float("-inf")
 _POS_INF = float("inf")
 
-# Donors smaller than this take the scalar derive: the vector path pays
-# a fixed per-derive cost (CSR gather, pair dedup, kernel dispatch)
-# that only amortizes once the donor boundary yields a few dozen
-# candidate pairs. Both paths are bit-identical by contract, so this is
-# purely a dispatch heuristic, set at the measured crossover (DESIGN
-# §13): small-region workloads (many tiny regions) run at scalar
+# Donors smaller than this take the scalar derive: the vector batch
+# pays a fixed cost per refresh (CSR gather, pair dedup, kernel
+# dispatch) that a lone donor only amortizes once its boundary yields a
+# few dozen candidate pairs. Both paths are bit-identical by contract,
+# so this is purely a dispatch heuristic, set at the measured crossover
+# (DESIGN §13): small-region workloads (many tiny regions) run at scalar
 # speed, the enriched workload's 250+-area regions always vectorize.
 # Tests monkeypatch this to force either path on any fixture.
 _VECTOR_MIN_DONOR = 48
@@ -286,6 +287,45 @@ def tabu_improve(
         return result
 
 
+def _run_starts(values):
+    """Mask of the entries of the sorted, non-empty array *values* that
+    differ from their predecessor (the first of each run of equals)."""
+    first = np.empty(len(values), dtype=bool)
+    first[0] = True
+    np.not_equal(values[1:], values[:-1], out=first[1:])
+    return first
+
+
+def _within(value, lower: float, upper: float):
+    """Elementwise ``lower <= value <= upper``. Finite values never fail
+    an infinite bound, so those comparisons are skipped — half the
+    verdict work for the one-sided constraints of real workloads."""
+    if lower == _NEG_INF:
+        return value <= upper if upper != _POS_INF else True
+    if upper == _POS_INF:
+        return value >= lower
+    return (value >= lower) & (value <= upper)
+
+
+def _deviation_sums(regions: list[Region], bounds: list[int], d):
+    """``sum_j |d_i - d_j|`` over the members of ``regions[k]`` for each
+    ``d_i`` in ``d[bounds[k]:bounds[k + 1]]`` — the batch form of
+    ``Region._abs_deviation_sum``: the same closed form off the same
+    maintained prefix lists (``searchsorted`` == ``bisect_left``), so
+    the same bits."""
+    rank = np.empty(len(d), dtype=np.int64)
+    below = np.empty(len(d), dtype=np.float64)
+    top = np.empty(len(d), dtype=np.float64)
+    size = np.empty(len(d), dtype=np.int64)
+    for region, lo, hi in zip(regions, bounds[:-1], bounds[1:]):
+        values, prefix = region._struct_arrays()
+        rank[lo:hi] = found = values.searchsorted(d[lo:hi], side="left")
+        below[lo:hi] = prefix[found]
+        top[lo:hi] = prefix[-1]
+        size[lo:hi] = len(values)
+    return (d * rank - below) + ((top - below) - d * (size - rank))
+
+
 def _initial_labels(state: SolutionState) -> dict[int, int]:
     """Labels of the current assignment (excluded areas included as
     unassigned so the Partition covers the whole collection)."""
@@ -330,10 +370,15 @@ class _MovePool:
     Moves are grouped by donor region. After an executed move only the
     dirty regions are re-derived: the donor, the receiver, and regions
     containing a neighbor of the moved area (those are the only places
-    where moves can appear or disappear). A region that is dirty only
-    as a neighbor keeps its membership (``Region._version``), so its
-    donor-side work is reused and only what the move changed is
-    re-priced (see :meth:`_derive_moves_scalar`). Cached entries of
+    where moves can appear or disappear). Each refresh splits them by
+    size. Donors smaller than ``_VECTOR_MIN_DONOR`` (or every donor,
+    under an objective other than ``H``) take the scalar derive; a
+    small donor dirty only as a neighbor keeps its membership
+    (``Region._version``), so its donor-side rows are reused and only
+    what the move changed is re-priced (see
+    :meth:`_derive_moves_scalar`). The large donors are priced
+    together by one :meth:`_derive_moves_batch` call, which keeps
+    nothing between refreshes. Cached entries of
     clean regions can still carry stale receiver-side deltas —
     :meth:`best_admissible` therefore re-validates its chosen move
     against live region state before returning it, correcting or
@@ -382,17 +427,12 @@ class _MovePool:
         # Live moves (sum of the per-donor dict sizes), kept by
         # _refresh and best_admissible's eviction.
         self._live = 0
-        # Donor-side derive caches, keyed by the donor's membership
+        # Scalar derive rows per donor, keyed by the donor's membership
         # version: after a move, regions adjacent to the moved area are
-        # re-derived even though their *own* membership is unchanged
-        # (only their neighborhood changed), so everything that depends
-        # solely on donor membership survives verbatim. Region ids are
-        # never reused, so the (id → version) key cannot alias across
-        # dissolve/new cycles. `_donor_cache` serves the vector kernel
-        # (candidate order, CSR gather geometry, donor-side feasibility
-        # and removal deltas); `_rows` the scalar one (candidate rows
-        # plus their priced pairs).
-        self._donor_cache: dict[int, tuple[int, tuple | None]] = {}
+        # re-derived even though their *own* membership is unchanged,
+        # so everything that depends solely on donor membership
+        # survives verbatim. Region ids are never reused, so the
+        # (id → version) key cannot alias across dissolve/new cycles.
         self._rows: dict[int, tuple[int, list]] = {}
 
     def after_move(self, area_id: int, donor_id: int, receiver_id: int) -> None:
@@ -407,51 +447,60 @@ class _MovePool:
                 self._dirty.add(neighbor_region)
 
     def _refresh(self) -> None:
-        heap = self._heap
         regions = self._state.regions
-        moves_by_donor = self._moves_by_donor
-        stamps = self._stamp
-        neighbors = self._state.collection.neighbors
         touched: set[int] = set()
         for area_id in self._moved:
-            touched.update(neighbors(area_id))
+            touched.update(self._state.collection.neighbors(area_id))
+        batch: list[Region] = []  # vector-path donors, priced together
         for region_id in self._dirty:
-            old = moves_by_donor.get(region_id)
             region = regions.get(region_id)
             if region is None:
-                if old is not None:
-                    self._live -= len(old)
+                self._live -= len(self._moves_by_donor.get(region_id, ()))
                 for cache in (
-                    moves_by_donor, stamps, self._derived_at,
-                    self._donor_cache, self._rows,
+                    self._moves_by_donor, self._stamp, self._derived_at,
+                    self._rows,
                 ):
                     cache.pop(region_id, None)
-                continue
-            version = region._version
-            neighbor_only = (
-                old is not None and self._derived_at[region_id] == version
-            )
-            moves = self._derive_moves(
-                region, touched if neighbor_only else None
-            )
-            moves_by_donor[region_id] = moves
-            self._derived_at[region_id] = version
-            self._live += len(moves) - len(old or ())
-            if neighbor_only:
-                # Same stamp: the entries of unchanged deltas stay valid.
-                stamp = stamps[region_id]
+            elif self._heterogeneity and len(region) >= _VECTOR_MIN_DONOR:
+                batch.append(region)
             else:
-                stamps[region_id] = stamp = stamps.get(region_id, 0) + 1
-                old = {}
-            for (area_id, receiver_id), delta in moves.items():
-                if old.get((area_id, receiver_id)) != delta:
-                    heappush(
-                        heap, (delta, area_id, receiver_id, region_id, stamp)
-                    )
+                neighbor_only = (
+                    self._derived_at.get(region_id) == region._version
+                )
+                self._store(region, self._derive_moves_scalar(
+                    region, touched if neighbor_only else None
+                ))
+        for region, moves in zip(batch, self._derive_moves_batch(batch)):
+            self._store(region, moves)
         self._dirty.clear()
         self._moved.clear()
-        if len(heap) > _COMPACT_FACTOR * self._live + _COMPACT_SLACK:
+        if len(self._heap) > _COMPACT_FACTOR * self._live + _COMPACT_SLACK:
             self._compact()
+
+    def _store(self, region: Region, moves: dict[_MoveKey, float]) -> None:
+        """Install *region*'s re-derived moves and push their heap
+        entries: all of them under a new stamp, or — when its
+        membership is what the old moves were derived at (it was dirty
+        only as a neighbor) — only the new or changed ones under the
+        old stamp."""
+        region_id = region.region_id
+        old = self._moves_by_donor.get(region_id)
+        neighbor_only = self._derived_at.get(region_id) == region._version
+        self._moves_by_donor[region_id] = moves
+        self._derived_at[region_id] = region._version
+        self._live += len(moves) - len(old or ())
+        heap = self._heap
+        if neighbor_only:
+            # Same stamp: the entries of unchanged deltas stay valid.
+            stamp = self._stamp[region_id]
+            previous = old.get
+            for key, delta in moves.items():
+                if previous(key) != delta:
+                    heappush(heap, (delta, *key, region_id, stamp))
+        else:
+            stamp = self._stamp[region_id] = self._stamp.get(region_id, 0) + 1
+            for (area_id, receiver_id), delta in moves.items():
+                heappush(heap, (delta, area_id, receiver_id, region_id, stamp))
 
     def _compact(self) -> None:
         """Rebuild the heap from the live moves alone (one entry each)."""
@@ -463,30 +512,12 @@ class _MovePool:
         ]
         heapify(self._heap)
 
-    def _derive_moves(
-        self, donor: Region, touched: set[int] | None = None
-    ) -> dict[_MoveKey, float]:
-        """All valid moves donating one of *donor*'s boundary areas to
-        an adjacent region, with their deltas.
-
-        Dispatches to the numpy batch scorer when the pool allows it
-        and the donor is large enough to amortize the vector path's
-        fixed overhead (``_VECTOR_MIN_DONOR``); the scalar loop serves
-        small donors. Identical output either way — same keys, same
-        deltas (bit for bit), same insertion order — so the heap index
-        and the tabu trajectory cannot tell the two kernels apart.
-        *touched* marks a neighbor-only re-derive (see
-        :meth:`_derive_moves_scalar`).
-        """
-        if self._heterogeneity and len(donor) >= _VECTOR_MIN_DONOR:
-            return self._derive_moves_vector(donor)
-        return self._derive_moves_scalar(donor, touched)
-
     def _derive_moves_scalar(
         self, donor: Region, touched: set[int] | None = None
     ) -> dict[_MoveKey, float]:
-        """Per-pair counterpart of :meth:`_derive_moves_vector`, read
-        off flat state: the pool's constraint plan, the regions'
+        """All valid moves donating one of *donor*'s boundary areas to
+        an adjacent region, with their deltas, priced pair by pair off
+        flat state: the pool's constraint plan, the regions'
         aggregate states and their sorted dissimilarity lists.
 
         The donor-side half — removable members in ascending id order
@@ -650,303 +681,187 @@ class _MovePool:
             (d * k - below) + ((prefix[-1] - below) - d * (len(values) - k))
         )
 
-    def _derive_moves_vector(self, donor: Region) -> dict[_MoveKey, float]:
-        """Batch counterpart of :meth:`_derive_moves_scalar`.
+    def _derive_moves_batch(
+        self, donors: list[Region]
+    ) -> list[dict[_MoveKey, float]]:
+        """Vector counterpart of :meth:`_derive_moves_scalar` for a
+        whole refresh's large donors at once: one moves dict per donor,
+        bit-identical to the scalar derive of that donor.
 
-        One CSR gather discovers every (candidate, receiver) pair of
-        the donor boundary at once; constraint verdicts and
-        heterogeneity deltas are then evaluated as elementwise float64
-        vector arithmetic. Each step replays the exact scalar
-        computation (``searchsorted`` == ``bisect_left``, the same
-        closed-form ``rank·d − prefix[rank]`` pricing off the same
-        maintained prefix lists, IEEE-identical elementwise ops), so
-        the resulting move dict is bit-identical to the scalar one.
+        One CSR gather over every donor's removable members finds all
+        (candidate, receiver) pairs; only candidates that have a pair
+        (a neighbor in another region) get donor-side work. Constraint
+        verdicts and heterogeneity deltas are elementwise float64
+        arithmetic that replays the scalar computation exactly, and
+        pairs come out in (donor, area asc, receiver asc) order — the
+        scalar insertion order within each donor.
         """
-        state = self._state
-        moves: dict[_MoveKey, float] = {}
-        if len(donor) <= 1:
+        perf = self._state.perf
+        moves: list[dict[_MoveKey, float]] = [{} for _ in donors]
+        # Donors that can give anything: two or more members, the COUNT
+        # bounds still met with one fewer, and a removable member.
+        slots: list[int] = []
+        sizes: list[int] = []
+        cand_ids: list[int] = []
+        for slot, donor in enumerate(donors):
+            if len(donor) <= 1:
+                continue
+            perf.vector_derives += 1
+            spare = len(donor) - 1
+            if all(
+                table is not None or lower <= spare <= upper
+                for _, _, table, lower, upper in self._plan
+            ) and (candidates := donor.removable_areas()):
+                cand_ids += sorted(candidates)
+                sizes.append(len(candidates))
+                slots.append(slot)
+        if not slots:
             return moves
-        astate = state.array_state
+        active = [donors[slot] for slot in slots]
+        cand_slot = np.repeat(np.arange(len(active)), sizes)
+        astate = self._state.array_state
         arrays = astate.arrays
-        perf = state.perf
-        perf.vector_derives += 1
-        donor_id = donor.region_id
-        # Everything that depends only on the donor's own membership is
-        # cached across derives and reused verbatim while the donor's
-        # membership version stands still (neighbor-only dirtiness).
-        cached = self._donor_cache.get(donor_id)
-        if cached is not None and cached[0] == donor._version:
-            payload = cached[1]
-            perf.donor_cache_hits += 1
-        else:
-            payload = self._donor_payload(donor, arrays)
-            self._donor_cache[donor_id] = (donor._version, payload)
-        if payload is None:
-            return moves
-        cand_ids, cand_idx, nbr_cols, owner, donor_ok, remove_delta = payload
+        cand_idx = arrays.positions(cand_ids)
 
-        # Receiver discovery: one label gather over the candidates'
-        # precomputed CSR columns.
-        neighbor_labels = astate.labels[nbr_cols]
-        edge = (neighbor_labels >= 0) & (neighbor_labels != donor_id)
+        # Receiver discovery: one label gather over the candidates' CSR
+        # rows, then the unique (candidate ordinal, receiver) pairs from
+        # one sort of packed int64 codes.
+        starts = arrays.indptr[cand_idx]
+        counts = arrays.indptr[cand_idx + 1] - starts
+        owner = np.repeat(np.arange(len(cand_idx)), counts)
+        flat = np.arange(len(owner)) + np.repeat(
+            starts - (np.cumsum(counts) - counts), counts
+        )
+        labels = astate.labels[arrays.indices[flat]]
+        donor_ids = np.asarray([donor.region_id for donor in active])
+        edge = (labels >= 0) & (labels != donor_ids[cand_slot[owner]])
         if not edge.any():
             return moves
-        # Unique (candidate, receiver) pairs via one packed-int64
-        # unique — far cheaper than a row-wise unique, same sorted
-        # (area asc, receiver asc) order after decoding.
-        codes = np.unique(
-            (owner[edge] << _PAIR_SHIFT) | neighbor_labels[edge]
-        )
+        codes = np.sort((owner[edge] << _PAIR_SHIFT) | labels[edge])
+        codes = codes[_run_starts(codes)]
         own = codes >> _PAIR_SHIFT
         recv = codes & _PAIR_MASK
 
-        # Donor-side feasibility, vectorized over the candidates.
-        pair_keep = donor_ok[own]
-        if not pair_keep.all():
-            own = own[pair_keep]
-            recv = recv[pair_keep]
-            if not len(own):
-                return moves
+        # Donor side, on the frontier candidates (those with a pair)
+        # only: feasibility, then removal deltas -(sum_j |d - d_j|).
+        first = _run_starts(own)
+        pair_front = np.cumsum(first) - 1
+        front_idx = cand_idx[own[first]]
+        front_slot = cand_slot[own[first]]
+        keep = self._donor_feasible(active, front_idx, front_slot)[pair_front]
+        own, recv, pair_front = own[keep], recv[keep], pair_front[keep]
+        if not len(own):
+            return moves
         perf.candidate_evaluations += len(own)
+        remove_delta = -_deviation_sums(
+            active,
+            np.searchsorted(front_slot, np.arange(len(active) + 1)).tolist(),
+            arrays.dissimilarity[front_idx],
+        )
+
+        # Receiver side, on the pairs grouped by receiver: feasibility,
+        # then pricing. Pairs a receiver cannot take are priced too and
+        # dropped after.
+        order = np.argsort(recv, kind="stable")
+        first = _run_starts(recv[order])
+        receivers = [
+            self._state.regions[receiver_id]
+            for receiver_id in recv[order][first].tolist()
+        ]
+        group = np.empty(len(recv), dtype=np.int64)
+        group[order] = np.cumsum(first) - 1
         pair_idx = cand_idx[own]
+        kept = self._receiver_feasible_all(recv, pair_idx, receivers, group)
+        perf.delta_fastpath += 2 * int(kept.sum())
+        deltas = np.empty(len(recv), dtype=np.float64)
+        deltas[order] = remove_delta[pair_front[order]] + _deviation_sums(
+            receivers,
+            np.flatnonzero(first).tolist() + [len(recv)],
+            arrays.dissimilarity[pair_idx[order]],
+        )
 
-        # Receiver-side feasibility over every pair at once (off the
-        # flat per-region aggregate vectors), then pricing in one small
-        # batch per adjacent region.
-        ok = self._receiver_feasible_all(recv, pair_idx)
-        kept = np.nonzero(ok)[0]
-        priced = len(kept)
-        deltas = np.empty(len(own), dtype=np.float64)
-        if priced:
-            regions = state.regions
-            dissimilarity = arrays.dissimilarity
-            recv_kept = recv[kept]
-            order = np.argsort(recv_kept, kind="stable")
-            sorted_rows = kept[order]
-            sorted_recv = recv_kept[order]
-            bounds = np.nonzero(np.diff(sorted_recv))[0] + 1
-            group_starts = np.concatenate(([0], bounds)).tolist()
-            group_ends = np.concatenate(
-                (bounds, [len(sorted_recv)])
-            ).tolist()
-            group_ids = sorted_recv[np.concatenate(([0], bounds))].tolist()
-            for start, end, receiver_id in zip(
-                group_starts, group_ends, group_ids
-            ):
-                rows = sorted_rows[start:end]
-                receiver = regions[receiver_id]
-                r_values, r_prefix = receiver._struct_arrays()
-                d_rows = dissimilarity[pair_idx[rows]]
-                r_rank = r_values.searchsorted(d_rows, side="left")
-                r_below = r_prefix[r_rank]
-                r_above = r_prefix[-1] - r_below
-                deltas[rows] = remove_delta[own[rows]] + (
-                    (d_rows * r_rank - r_below)
-                    + (r_above - d_rows * (len(r_values) - r_rank))
-                )
-        # Mirror the scalar path's accounting: each priced pair would
-        # have cost one donor-side and one receiver-side delta query.
-        perf.delta_fastpath += 2 * priced
-
-        # Batch-convert once; per-row int()/float() coercions dominate
-        # the dict build otherwise. kept is ascending, so insertion
-        # order stays (area asc, receiver asc) — the scalar order.
-        for o, r, delta in zip(
-            own[kept].tolist(), recv[kept].tolist(), deltas[kept].tolist()
-        ):
-            moves[(cand_ids[o], r)] = delta
+        # One dict per donor from its slice of the kept pairs, which
+        # stay in ascending (ordinal, receiver) order.
+        own, recv, pair_idx = own[kept], recv[kept], pair_idx[kept]
+        keys = list(zip(arrays.ids[pair_idx].tolist(), recv.tolist()))
+        values = deltas[kept].tolist()
+        cuts = np.searchsorted(cand_slot[own], np.arange(len(active) + 1))
+        for slot, lo, hi in zip(slots, cuts[:-1].tolist(), cuts[1:].tolist()):
+            if lo < hi:
+                moves[slot] = dict(zip(keys[lo:hi], values[lo:hi]))
         return moves
 
-    def _donor_payload(self, donor: Region, arrays):
-        """Donor-membership-only intermediates of the vector derive.
+    def _donor_feasible(self, donors: list[Region], cand_idx, cand_slot):
+        """Elementwise ``satisfies_after_remove`` over candidates of
+        several donors (*cand_slot* indexes *donors*; COUNT was checked
+        by the caller).
 
-        Returns ``(cand_ids, cand_idx, nbr_cols, owner, donor_ok,
-        remove_delta)`` or ``None`` when the donor yields no candidate
-        moves at all. Every array here is a pure function of the
-        donor's member set plus static problem data (CSR topology,
-        constraint bounds, dissimilarity), so the tuple stays valid —
-        and is reused verbatim — until the donor's own membership
-        changes (tracked by ``Region._version``).
+        SUM/AVG are vector arithmetic on each donor's scalar aggregate
+        state. A MIN/MAX candidate at the donor's extremum holds it,
+        and every holder gives the same value after removal, so
+        ``value_after_remove`` runs once per donor and constraint, and
+        only when some candidate holds the extremum.
         """
-        candidates = donor.removable_areas()
-        if not candidates:
-            return None
-        # Candidates in ascending area-id order — the scalar loop's
-        # iteration order, which fixes the move-dict insertion order.
-        cand_ids = sorted(candidates)
-        cand_idx = arrays.positions(cand_ids)
-
-        # CSR gather geometry: the concatenated neighbor columns of
-        # every candidate row, plus each column's owning candidate.
-        indptr = arrays.indptr
-        starts = indptr[cand_idx]
-        counts = indptr[cand_idx + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            return None
-        offsets = np.repeat(np.cumsum(counts) - counts, counts)
-        flat = (
-            np.arange(total, dtype=np.int64)
-            - offsets
-            + np.repeat(starts, counts)
-        )
-        nbr_cols = arrays.indices[flat]
-        owner = np.repeat(
-            np.arange(len(cand_ids), dtype=np.int64), counts
-        )
-
-        # Donor-side feasibility, vectorized over the candidates.
-        donor_ok = self._donor_feasible_vector(donor, cand_idx)
-
-        # Donor-side delta: -(sum_j |d - d_j|) off the maintained
-        # sorted/prefix structure — the batch form of
-        # Region.heterogeneity_delta_remove.
-        values_arr, prefix_arr = donor._struct_arrays()
-        d_cand = arrays.dissimilarity[cand_idx]
-        rank = values_arr.searchsorted(d_cand, side="left")
-        below = prefix_arr[rank]
-        above = prefix_arr[-1] - below
-        remove_delta = -(
-            (d_cand * rank - below)
-            + (above - d_cand * (len(values_arr) - rank))
-        )
-        return (cand_ids, cand_idx, nbr_cols, owner, donor_ok, remove_delta)
-
-    def _donor_feasible_vector(self, donor: Region, cand_idx):
-        """Elementwise ``satisfies_after_remove`` over the candidates.
-
-        The batch form of the scalar per-constraint loop: SUM/AVG are
-        pure vector arithmetic on the scalar aggregate state, MIN/MAX
-        vectorize the common "not the extremum" case and fall back to
-        the exact scalar rule only for candidates holding the cached
-        extremum. ``len(donor) >= 2`` is guaranteed by the caller.
-        """
-        state = self._state
-        arrays = state.array_state.arrays
         ok = np.ones(len(cand_idx), dtype=bool)
-        # One gather per distinct attribute — constraint sets reuse
-        # attributes across aggregate families.
-        gathered: dict[str, object] = {}
-        for constraint in state.constraints:
-            aggregate = constraint.aggregate
-            if aggregate == Aggregate.COUNT:
-                if not constraint.contains(float(len(donor) - 1)):
-                    ok[:] = False
+        columns = self._state.array_state.arrays.attributes
+        for aggregate, attribute, table, lower, upper in self._plan:
+            if table is None:  # COUNT
                 continue
-            aggregate_state = donor._state(constraint.attribute)
-            vals = gathered.get(constraint.attribute)
-            if vals is None:
-                vals = arrays.attributes[constraint.attribute][cand_idx]
-                gathered[constraint.attribute] = vals
-            if aggregate == Aggregate.SUM:
-                value = aggregate_state.sum - vals
-            elif aggregate == Aggregate.AVG:
-                value = (aggregate_state.sum - vals) / (
-                    aggregate_state.count - 1
-                )
-            elif aggregate == Aggregate.MIN:
-                cached = aggregate_state.min
-                value = np.full(len(vals), cached)
-                for i in np.nonzero(vals <= cached)[0]:
-                    value[i] = aggregate_state.value_after_remove(
-                        Aggregate.MIN, float(vals[i])
+            vals = columns[attribute][cand_idx]
+            states = [donor._aggregates[attribute] for donor in donors]
+            if aggregate == Aggregate.SUM or aggregate == Aggregate.AVG:
+                value = np.asarray([agg.sum for agg in states])[cand_slot] - vals
+                if aggregate == Aggregate.AVG:
+                    value /= np.asarray([agg.count - 1 for agg in states])[
+                        cand_slot
+                    ]
+            else:
+                is_min = aggregate == Aggregate.MIN
+                extrema = [agg.min if is_min else agg.max for agg in states]
+                value = np.asarray(extrema)[cand_slot]
+                holds = (vals <= value) if is_min else (vals >= value)
+                for slot in set(cand_slot[holds].tolist()):
+                    extrema[slot] = states[slot].value_after_remove(
+                        aggregate, extrema[slot]
                     )
-            else:  # MAX
-                cached = aggregate_state.max
-                value = np.full(len(vals), cached)
-                for i in np.nonzero(vals >= cached)[0]:
-                    value[i] = aggregate_state.value_after_remove(
-                        Aggregate.MAX, float(vals[i])
-                    )
-            # Finite values never fail an infinite bound, so skip
-            # those comparisons — half the verdict work for the
-            # one-sided constraints that dominate real workloads.
-            if constraint.lower != _NEG_INF:
-                ok &= value >= constraint.lower
-            if constraint.upper != _POS_INF:
-                ok &= value <= constraint.upper
+                value = np.where(holds, np.asarray(extrema)[cand_slot], value)
+            ok &= _within(value, lower, upper)
         return ok
 
-    def _receiver_feasible_all(self, recv, pair_idx):
+    def _receiver_feasible_all(self, recv, pair_idx, receivers, group):
         """Elementwise ``satisfies_after_add`` over every (candidate,
         receiver) pair at once.
 
         SUM/AVG/COUNT read the flat per-region aggregate vectors the
         :class:`repro.core.arrays.ArrayState` sink maintains (bit-equal
         to the scalar :class:`~repro.core.aggregates.AggregateState`
-        sums — ``check_indexes`` asserts exactly that); MIN/MAX gather
-        each receiver's cached extremum once per unique receiver.
+        sums — ``check_indexes`` asserts exactly that); MIN/MAX read
+        each of the unique *receivers*' cached extremum once (*group*
+        is each pair's index into *receivers*).
         """
-        state = self._state
-        astate = state.array_state
-        arrays = astate.arrays
-        region_count = astate.region_count
+        astate = self._state.array_state
+        columns = astate.arrays.attributes
+        counts = astate.region_count[recv] + 1
         ok = np.ones(len(recv), dtype=bool)
-        # Shared gathers: unique receivers (every MIN/MAX constraint),
-        # per-attribute candidate values and receiver sums, and the
-        # receiver count column — each computed at most once per call.
-        uniq = None
-        counts = None
-        gathered: dict[str, object] = {}
-        sums: dict[str, object] = {}
-        for constraint in state.constraints:
-            aggregate = constraint.aggregate
-            if aggregate == Aggregate.COUNT:
-                if counts is None:
-                    counts = region_count[recv]
-                value = counts + 1
+        for aggregate, attribute, table, lower, upper in self._plan:
+            if table is None:  # COUNT
+                value = counts
+            elif aggregate == Aggregate.SUM or aggregate == Aggregate.AVG:
+                value = astate.region_sums[attribute][recv] + columns[
+                    attribute
+                ][pair_idx]
+                if aggregate == Aggregate.AVG:
+                    value /= counts
             else:
-                attribute = constraint.attribute
-                vals = gathered.get(attribute)
-                if vals is None:
-                    vals = arrays.attributes[attribute][pair_idx]
-                    gathered[attribute] = vals
-                if aggregate == Aggregate.SUM:
-                    total = sums.get(attribute)
-                    if total is None:
-                        total = astate.region_sums[attribute][recv]
-                        sums[attribute] = total
-                    value = total + vals
-                elif aggregate == Aggregate.AVG:
-                    total = sums.get(attribute)
-                    if total is None:
-                        total = astate.region_sums[attribute][recv]
-                        sums[attribute] = total
-                    if counts is None:
-                        counts = region_count[recv]
-                    value = (total + vals) / (counts + 1)
-                else:  # MIN / MAX
-                    if uniq is None:
-                        uniq = np.unique(recv, return_inverse=True)
-                    extrema = self._receiver_extrema(constraint, uniq)
-                    if aggregate == Aggregate.MIN:
-                        value = np.minimum(extrema, vals)
-                    else:
-                        value = np.maximum(extrema, vals)
-            if constraint.lower != _NEG_INF:
-                ok &= value >= constraint.lower
-            if constraint.upper != _POS_INF:
-                ok &= value <= constraint.upper
+                states = [region._aggregates[attribute] for region in receivers]
+                if aggregate == Aggregate.MIN:
+                    extrema = np.asarray([agg.min for agg in states])
+                    value = np.minimum(extrema[group], columns[attribute][pair_idx])
+                else:
+                    extrema = np.asarray([agg.max for agg in states])
+                    value = np.maximum(extrema[group], columns[attribute][pair_idx])
+            ok &= _within(value, lower, upper)
         return ok
-
-    def _receiver_extrema(self, constraint, uniq):
-        """Each pair's receiver-side cached MIN/MAX aggregate, gathered
-        once per unique receiver (receivers per donor boundary are
-        few). *uniq* is ``np.unique(recv, return_inverse=True)``."""
-        regions = self._state.regions
-        unique_recv, inverse = uniq
-        attribute = constraint.attribute
-        if constraint.aggregate == Aggregate.MIN:
-            gathered = [
-                regions[r]._state(attribute).min
-                for r in unique_recv.tolist()
-            ]
-        else:
-            gathered = [
-                regions[r]._state(attribute).max
-                for r in unique_recv.tolist()
-            ]
-        return np.asarray(gathered, dtype=np.float64)[inverse]
 
     def _live_delta(
         self, area_id: int, donor_id: int, receiver_id: int

@@ -301,6 +301,9 @@ def _voronoi_cells(
         index, length = _voronoi_rings(diagram, n_units)
         _, _, (area2, cx, cy) = _normalise_rings(diagram.vertices, index, length)
         points = np.column_stack([cx / (3 * area2), cy / (3 * area2)])
+        # Free this step's diagram, rings and centroids before the
+        # next diagram is built (peak set-up memory).
+        del diagram, index, length, area2, cx, cy
         points[:, 0] = points[:, 0].clip(bbox.min_x, bbox.max_x)
         points[:, 1] = points[:, 1].clip(bbox.min_y, bbox.max_y)
     diagram = _bounded_voronoi(points, bbox)

@@ -19,6 +19,9 @@ live membership:
   prefix sums on every query (:func:`abs_deviation_sum`);
 - compactness: coordinate sums re-summed in sorted member order
   (:func:`compactness_region_sums`, :func:`compactness_total`);
+- region merge: the absorbed region kept up to date area by area —
+  aggregates, sorted list, block-cut log and array-mirror row — while
+  the survivor takes its areas (:func:`merge`);
 - Tabu move derive: every boundary move of a donor re-derived through
   the per-area ``Region.satisfies_after_*`` and ``Objective.delta_move``
   object calls, with no cached rows (:func:`derive_moves_scalar`);
@@ -26,8 +29,8 @@ live membership:
   index's total order ``(delta, area, receiver, donor)``
   (:func:`best_admissible`).
 
-The heterogeneity, frontier, contiguity and Tabu references are
-bit-identical to production; compactness agrees to float accumulation
+The heterogeneity, merge, frontier, contiguity and Tabu references
+are bit-identical to production; compactness agrees to float accumulation
 order. :func:`reference_hotpaths` patches all of them into the solver
 classes, so a whole solve can replay against the reference. The vector
 kernels read the maintained structures directly — pair it with
@@ -118,6 +121,22 @@ def _drop_structure(region: Region, d: float) -> None:
     region._sorted_d = None
     region._prefix_d = None
     region._struct_np = None
+
+
+# ----------------------------------------------------------------------
+# region merge: remove from the absorbed region, add to the survivor
+# ----------------------------------------------------------------------
+
+
+def merge(region: Region, other: Region) -> None:
+    """Absorb *other* into *region* one area at a time: each area
+    leaves *other* through ``remove_area`` and joins *region* through
+    ``add_area``, in *other*'s set-iteration order."""
+    if region._areas & other._areas:
+        raise InvalidAreaError("cannot merge overlapping regions")
+    for area_id in list(other._areas):
+        other.remove_area(area_id)
+        region.add_area(area_id)
 
 
 # ----------------------------------------------------------------------
@@ -282,6 +301,7 @@ def reference_hotpaths():
         )
         patch.setattr(Region, "_abs_deviation_sum", abs_deviation_sum)
         patch.setattr(Region, "sorted_dissimilarities", sorted_dissimilarities)
+        patch.setattr(Region, "merge", merge)
         patch.setattr(Region, "_struct_insert", _drop_structure)
         patch.setattr(Region, "_struct_remove", _drop_structure)
         patch.setattr(SolutionState, "adjacent_regions", adjacent_regions)

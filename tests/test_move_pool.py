@@ -1,5 +1,6 @@
-"""The Tabu move pool's bounded heap, flat scalar kernel and
-neighbor-only re-pricing (``repro.fact.tabu._MovePool``).
+"""The Tabu move pool's bounded heap, flat scalar kernel, batched
+vector kernel and neighbor-only re-pricing
+(``repro.fact.tabu._MovePool``).
 
 - Heap compaction is exact: firing it on every refresh lands on the
   production partition, and production keeps the heap within
@@ -7,6 +8,8 @@ neighbor-only re-pricing (``repro.fact.tabu._MovePool``).
 - The flat scalar derive returns exactly what the object-call
   reference derive (``oracles/hotpath_reference.py``) and the vector
   derive return, over random assign/move/merge walks.
+- The vector derive prices many donors in one batch and still gives
+  each donor exactly its own from-scratch derive.
 - A region re-derived because it borders a moved area, with its own
   membership unchanged, gets exactly a from-scratch derive.
 """
@@ -207,7 +210,7 @@ def test_flat_scalar_derive_matches_reference_and_vector(seed):
             region = state.regions[region_id]
             flat = list(pool._derive_moves_scalar(region).items())
             assert flat == list(derive_moves_scalar(pool, region).items())
-            assert flat == list(pool._derive_moves_vector(region).items())
+            assert flat == list(pool._derive_moves_batch([region])[0].items())
             dup = region._aggregates["dup"]
             holders = [
                 area_id
@@ -222,6 +225,84 @@ def test_flat_scalar_derive_matches_reference_and_vector(seed):
                 for (_, receiver_id), _ in flat
                 if len(state.regions[receiver_id]) == 1
             )
+    assert all(count > 0 for count in seen.values()), seen
+
+
+def _batch_walk(seed: int, seen: dict) -> None:
+    """One random walk that prices every region in one batch after each
+    mutation and compares each donor's dict with the reference derive;
+    *seen* counts the cases the batch met."""
+    rng = random.Random(100 + seed)
+    collection = _walk_collection(6, 7, seed)
+    # Looser than _walk_constraints, so neighbors often give to each
+    # other, with a tight COUNT cap that large donors fail.
+    count = count_constraint(1, rng.randrange(4, 7))
+    constraints = ConstraintSet(
+        [
+            min_constraint("dup", upper=2.0),
+            max_constraint("dup", lower=2.0),
+            max_constraint("uniq", lower=rng.uniform(10.0, 40.0)),
+            avg_constraint("uniq", 5.0, 95.0),
+            sum_constraint("uniq", lower=rng.uniform(5.0, 40.0)),
+            count,
+        ]
+    )
+    state = SolutionState(collection, constraints)
+    # The grid's corners: one region in three pieces, so it has no
+    # removable member until a merge joins them.
+    state.new_region([0, 6, 41])
+    objective = HeterogeneityObjective()
+    objective.attach(state)
+    pool = tabu._MovePool(state, objective)
+    for _ in range(120):
+        _mutate(state, rng)
+        donors = [state.regions[rid] for rid in sorted(state.regions)]
+        batch = pool._derive_moves_batch(donors)
+        assert len(batch) == len(donors)
+        for donor, moves in zip(donors, batch):
+            expected = derive_moves_scalar(pool, donor)
+            assert list(moves.items()) == list(expected.items())
+            if len(donor) < 2:
+                continue
+            if not count.contains(len(donor) - 1):
+                seen["fails_count"] += 1
+            if not donor.removable_areas():
+                seen["no_removable"] += 1
+            for attribute, aggregate in (("dup", "min"), ("uniq", "max")):
+                agg = donor._aggregates[attribute]
+                extremum = getattr(agg, aggregate)
+                if any(
+                    collection.attribute(area_id, attribute) == extremum
+                    for area_id in donor.removable_areas()
+                ):
+                    many = agg._counts[extremum] > 1
+                    key = "duplicated_extremum" if many else "unique_extremum"
+                    seen[key] += 1
+        # Donors in the same batch that give to each other.
+        gives = {
+            (donor.region_id, receiver_id)
+            for donor, moves in zip(donors, batch)
+            for _, receiver_id in moves
+        }
+        seen["mutual_receivers"] += sum(
+            1 for donor_id, receiver_id in gives
+            if (receiver_id, donor_id) in gives
+        )
+
+
+def test_one_batch_prices_every_donor_like_the_reference():
+    seen = dict.fromkeys(
+        (
+            "fails_count",
+            "no_removable",
+            "mutual_receivers",
+            "duplicated_extremum",
+            "unique_extremum",
+        ),
+        0,
+    )
+    for seed in range(6):
+        _batch_walk(seed, seen)
     assert all(count > 0 for count in seen.values()), seen
 
 

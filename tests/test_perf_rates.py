@@ -17,7 +17,11 @@ rates measured when the incremental oracle landed (9 rebuilds in
 18,759 refreshes; 2,764,849 evaluations over 18,852 derives), with
 slack 0.05 and 50 respectively.
 
-The third rate is read off the Tabu move pool after every refresh:
+Two more figures are read off the Tabu move pool at every refresh.
+The vector kernel prices all of a refresh's large donors in one batch,
+so each refresh makes at most one receiver-side pricing call
+(``_receiver_feasible_all``), however many donors it re-derives; a
+per-donor derive makes one call per donor. The other figure is
 lazy-heap entries per live move. The pool compacts its heap once it
 holds more than ``4 x live + 1024`` entries, so the heap never exceeds
 that; without compaction stale entries pile up with iterations x
@@ -48,23 +52,37 @@ MIN_POOL_REFRESHES = 200
 
 @pytest.fixture(scope="module")
 def solve():
-    """The solve's counters plus ``(heap entries, live moves)`` after
-    every move-pool refresh."""
+    """The solve's counters, ``(heap entries, live moves)`` after every
+    move-pool refresh, and ``(vector derives, pricing calls)`` made by
+    every refresh."""
     heap_trace = []
+    kernel_trace = []
+    calls = [0]
     refresh = tabu._MovePool._refresh
+    price = tabu._MovePool._receiver_feasible_all
 
     def recording_refresh(self):
+        calls[0] = 0
+        derives = self._state.perf.vector_derives
         refresh(self)
+        kernel_trace.append(
+            (self._state.perf.vector_derives - derives, calls[0])
+        )
         live = sum(len(moves) for moves in self._moves_by_donor.values())
         heap_trace.append((len(self._heap), live))
+
+    def counting_price(self, *args):
+        calls[0] += 1
+        return price(self, *args)
 
     collection = load_dataset("2k", scale=0.3)
     config = bench_config(len(collection), rng_seed=7)
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(tabu._MovePool, "_refresh", recording_refresh)
+        patch.setattr(tabu._MovePool, "_receiver_feasible_all", counting_price)
         solution = FaCT(config).solve(collection, enriched_constraints())
     assert solution.status is RunStatus.COMPLETE
-    return solution.perf, heap_trace
+    return solution.perf, heap_trace, kernel_trace
 
 
 @pytest.fixture(scope="module")
@@ -92,3 +110,12 @@ def test_heap_entries_per_live_move(solve):
         for entries, live in heap_trace
     )
     assert worst <= MAX_HEAP_ENTRIES_PER_LIVE_MOVE
+
+
+def test_one_vector_pricing_call_per_refresh(solve):
+    kernel_trace = solve[2]
+    assert len(kernel_trace) >= MIN_POOL_REFRESHES
+    # The gate only means something if refreshes re-derive several
+    # large donors at once.
+    assert sum(derives >= 2 for derives, _ in kernel_trace) >= MIN_POOL_REFRESHES
+    assert max(calls for _, calls in kernel_trace) <= 1

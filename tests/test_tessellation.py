@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -15,6 +18,7 @@ from repro.geometry import (
     multi_patch_tessellation,
     voronoi_tessellation,
 )
+from repro.geometry import tessellation
 from repro.geometry.tessellation import _normalise_rings, _polygons
 
 
@@ -77,6 +81,31 @@ class TestVoronoiTessellation:
             range(60), lambda i: tess.adjacency[i]
         )
         assert len(components) == 1
+
+    def test_each_lloyd_diagram_dies_before_the_next_is_built(
+        self, monkeypatch
+    ):
+        # Peak set-up memory: a Lloyd step's diagram and ring arrays
+        # must be freed (by reference count, not a gc pass) before the
+        # next diagram is built.
+        diagrams, previous_dead = [], []
+        build = tessellation._bounded_voronoi
+
+        def tracking_build(points, bbox):
+            previous_dead.append(all(ref() is None for ref in diagrams))
+            diagram = build(points, bbox)
+            diagrams.append(weakref.ref(diagram))
+            return diagram
+
+        monkeypatch.setattr(tessellation, "_bounded_voronoi", tracking_build)
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            voronoi_tessellation(200, seed=3, lloyd_iterations=3)
+        finally:
+            if enabled:
+                gc.enable()
+        assert previous_dead == [True] * 4
 
     def test_cells_tile_the_bbox(self):
         tess = voronoi_tessellation(50, seed=3)
