@@ -126,14 +126,14 @@ def articulation_points(
 ) -> frozenset[int]:
     """Articulation points of the induced subgraph over *nodes*.
 
-    Iterative Hopcroft–Tarjan (no recursion, so arbitrarily large
-    regions are safe). Nodes in other components than the start node
-    are handled by restarting the DFS per component.
+    Read off the iterative Hopcroft–Tarjan pass of
+    :func:`block_cut_state` (no recursion, so arbitrarily large
+    regions are safe; every component gets its own DFS root).
     """
-    return _components_and_articulation(set(nodes), neighbors)[1]
+    return block_cut_state(set(nodes), neighbors)[1]
 
 
-# Epoch-stamped scratch for the combined components/articulation DFS:
+# Epoch-stamped scratch for the block-cut DFS:
 # discovery/low are indexed by node id, a cell is valid only when its
 # stamp equals the current epoch, so no per-call clearing — the oracle
 # rebuilds this DFS twice per accepted Tabu move and the dict
@@ -144,152 +144,6 @@ _scratch_epoch = 0
 _scratch_stamp: list[int] = []
 _scratch_disc: list[int] = []
 _scratch_low: list[int] = []
-
-
-def _components_and_articulation(
-    node_set: set[int],
-    neighbors: NeighborFn,
-    adjacency: dict[int, list[int]] | None = None,
-) -> tuple[list[frozenset[int]], frozenset[int]]:
-    """Connected components *and* articulation points in one DFS pass.
-
-    Every DFS restart roots a new component, so component membership
-    falls out of the same Hopcroft–Tarjan traversal for free — this is
-    what lets :func:`removable_set` answer with a single pass over the
-    induced subgraph instead of one pass per question.
-
-    When *adjacency* is given it must already be the induced adjacency
-    (node → in-set neighbor list for exactly the nodes of *node_set*);
-    the DFS then skips all membership filtering. Callers that maintain
-    the induced rows incrementally (:class:`repro.core.region.Region`)
-    turn every oracle rebuild from O(Σ full-degree) set probes into a
-    bare traversal of the precomputed rows.
-    """
-    rows = adjacency
-    if rows is None:
-        rows = {
-            node: [n for n in neighbors(node) if n in node_set]
-            for node in node_set
-        }
-    max_node = max(node_set)
-    if max_node > _SCRATCH_NODE_CAP:
-        # Sparse id spaces (raw census GEOIDs) would blow the dense
-        # scratch up; dict bookkeeping handles them at reference speed.
-        return _dfs_sparse(node_set, rows)
-
-    global _scratch_epoch
-    stamp = _scratch_stamp
-    if max_node >= len(stamp):
-        grow = max_node + 1 - len(stamp)
-        stamp.extend([0] * grow)
-        _scratch_disc.extend([0] * grow)
-        _scratch_low.extend([0] * grow)
-    _scratch_epoch += 1
-    epoch = _scratch_epoch
-    disc = _scratch_disc
-    low = _scratch_low
-
-    components: list[frozenset[int]] = []
-    articulation: set[int] = set()
-    counter = 0
-
-    for root in node_set:
-        if stamp[root] == epoch:
-            continue
-        component = [root]
-        root_children = 0
-        # stack entries: (node, parent, iterator over its in-set rows)
-        stack = [(root, None, iter(rows[root]))]
-        stamp[root] = epoch
-        disc[root] = low[root] = counter
-        counter += 1
-        while stack:
-            node, parent_node, iterator = stack[-1]
-            low_node = low[node]
-            advanced = False
-            for neighbor in iterator:
-                if stamp[neighbor] != epoch:
-                    if node == root:
-                        root_children += 1
-                    stamp[neighbor] = epoch
-                    disc[neighbor] = low[neighbor] = counter
-                    counter += 1
-                    component.append(neighbor)
-                    stack.append((neighbor, node, iter(rows[neighbor])))
-                    advanced = True
-                    break
-                if neighbor != parent_node:
-                    d = disc[neighbor]
-                    if d < low_node:
-                        low_node = d
-            low[node] = low_node
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pnode = stack[-1][0]
-                if low_node < low[pnode]:
-                    low[pnode] = low_node
-                if pnode != root and low_node >= disc[pnode]:
-                    articulation.add(pnode)
-        if root_children > 1:
-            articulation.add(root)
-        components.append(frozenset(component))
-    return components, frozenset(articulation)
-
-
-def _dfs_sparse(
-    node_set: set[int], rows: dict[int, list[int]]
-) -> tuple[list[frozenset[int]], frozenset[int]]:
-    """Dict-bookkeeping variant of the DFS above for node ids too
-    large to index the dense scratch arrays. Identical traversal,
-    identical results — only the discovery/low storage differs."""
-    components: list[frozenset[int]] = []
-    discovery: dict[int, int] = {}
-    low: dict[int, int] = {}
-    articulation: set[int] = set()
-    discovery_get = discovery.get
-    counter = 0
-
-    for root in node_set:
-        if root in discovery:
-            continue
-        component = [root]
-        root_children = 0
-        stack = [(root, None, iter(rows[root]))]
-        discovery[root] = low[root] = counter
-        counter += 1
-        while stack:
-            node, parent_node, iterator = stack[-1]
-            low_node = low[node]
-            advanced = False
-            for neighbor in iterator:
-                d = discovery_get(neighbor)
-                if d is None:
-                    if node == root:
-                        root_children += 1
-                    discovery[neighbor] = low[neighbor] = counter
-                    counter += 1
-                    component.append(neighbor)
-                    stack.append((neighbor, node, iter(rows[neighbor])))
-                    advanced = True
-                    break
-                if neighbor != parent_node and d < low_node:
-                    low_node = d
-            low[node] = low_node
-            if advanced:
-                continue
-            stack.pop()
-            if stack:
-                pnode = stack[-1][0]
-                if low_node < low[pnode]:
-                    low[pnode] = low_node
-                if pnode != root and low_node >= discovery[pnode]:
-                    articulation.add(pnode)
-        if root_children > 1:
-            articulation.add(root)
-        components.append(frozenset(component))
-    return components, frozenset(articulation)
 
 
 def removable_set(
@@ -310,19 +164,19 @@ def removable_set(
     - three or more components, or a single node: nothing is removable
       (removal leaves a disconnected or empty remainder).
 
-    This is the batch primitive behind the per-region contiguity
-    oracle (:meth:`repro.core.region.Region.removable_areas`); it
-    costs exactly one DFS traversal of the induced subgraph. Passing a
-    precomputed induced *adjacency* (see
-    :func:`_components_and_articulation`) skips the per-node membership
-    filtering inside that traversal.
+    The per-region contiguity oracle
+    (:meth:`repro.core.region.Region.removable_areas`) returns the same
+    verdict incrementally; this costs one DFS traversal of the induced
+    subgraph. Passing a
+    precomputed induced *adjacency* (see :func:`block_cut_state`) skips
+    the per-node membership filtering inside that traversal.
     """
     node_set = set(nodes)
     if not node_set:
         return False, frozenset()
     if len(node_set) == 1:
         return True, frozenset()
-    components, articulation = _components_and_articulation(
+    components, articulation, _ = block_cut_state(
         node_set, neighbors, adjacency
     )
     if len(components) == 1:
@@ -352,9 +206,16 @@ def block_cut_state(
     the node set and a vertex is an articulation point exactly when it
     belongs to two or more blocks.
 
-    Storage dispatch mirrors :func:`_components_and_articulation`:
-    dense epoch-stamped scratch below ``_SCRATCH_NODE_CAP``, dict
-    bookkeeping above it. Same *adjacency* contract too.
+    Storage: dense epoch-stamped scratch below ``_SCRATCH_NODE_CAP``,
+    dict bookkeeping above it (sparse id spaces such as raw census
+    GEOIDs would blow the dense scratch up).
+
+    When *adjacency* is given it must already be the induced adjacency
+    (node → in-set neighbor list for exactly the nodes of *node_set*);
+    the DFS then skips all membership filtering. Callers that maintain
+    the induced rows incrementally (:class:`repro.core.region.Region`)
+    turn every oracle rebuild from O(Σ full-degree) set probes into a
+    bare traversal of the precomputed rows.
     """
     if not node_set:
         return [], frozenset(), []

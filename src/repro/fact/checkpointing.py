@@ -13,16 +13,18 @@ invariant to ``n_jobs``). The ledger exploits the same property for
 durability: instead of snapshotting raw RNG state mid-stream, it
 records each *completed* unit's result keyed by its coordinates —
 
-- ``construction/{attempt}/{pass}`` → the pass result (score key,
-  labels, scores) of retry attempt *attempt*, pass *pass*;
-- ``tabu/{member}`` → portfolio member *member*'s outcome;
+- ``construction/{attempt}/{pass}`` → retry attempt *attempt*'s pass
+  *pass*;
+- ``tabu/{member}`` → portfolio member *member*;
 
-and on resume replays recorded units verbatim while recomputing the
-rest. A replayed unit is byte-for-byte what the unit would produce if
-re-run (JSON round-trips Python floats exactly — ``json.dumps`` emits
-``repr`` shortest-round-trip forms), so the reduction downstream sees
-identical inputs in identical order and the final partition matches
-the uninterrupted run for any kill point and any worker count.
+each stored as ``[score, labels, stats]`` of its
+:class:`~repro.fact.pool.UnitResult` — and on resume replays recorded
+units verbatim while recomputing the rest. A replayed unit is
+byte-for-byte what the unit would produce if re-run (JSON round-trips
+Python floats exactly — ``json.dumps`` emits ``repr``
+shortest-round-trip forms), so the reduction downstream sees identical
+inputs in identical order and the final partition matches the
+uninterrupted run for any kill point and any worker count.
 Interrupted (partially executed) units are deliberately *not*
 recorded: the uninterrupted reference run completes them, so a resumed
 run must recompute them in full.
@@ -39,22 +41,25 @@ at the snapshot boundary.
 
 The file also carries a **fingerprint** of the problem (seed, phase
 shape, construction and Tabu knobs, objective, constraint strings,
-dataset size). Resuming against a different problem raises
-:class:`repro.exceptions.CheckpointError` instead of silently splicing
-mismatched results, and the consumed wall-clock is stored so a resumed
-deadline run only gets the time the original had left.
+dataset size and a sha256 of the dataset's content). Resuming against
+a different problem raises :class:`repro.exceptions.CheckpointError`
+instead of silently splicing mismatched results, and the consumed
+wall-clock is stored so a resumed deadline run only gets the time the
+original had left.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 
 from ..core.perf import PerfCounters
 from ..exceptions import CheckpointError
 from ..obs.telemetry import DISABLED
-from ..runtime import Budget, Interrupted, RunStatus
+from ..runtime import Budget, Interrupted
 from ..runtime.atomic import atomic_write_text
+from .pool import UnitResult
 
 __all__ = ["SolveLedger"]
 
@@ -69,7 +74,8 @@ def _fingerprint(config, constraints, collection, objective=None) -> dict:
     knobs that change its outcome, the Tabu tenure and stopping rules,
     the objective Tabu minimizes (by class name; ``None`` is the
     default heterogeneity objective) and the problem itself.
-    Constraints compare by their canonical string forms.
+    Constraints compare by their canonical string forms, the data by
+    :func:`_data_digest`.
     """
     return {
         "rng_seed": config.rng_seed,
@@ -90,7 +96,29 @@ def _fingerprint(config, constraints, collection, objective=None) -> dict:
         ),
         "constraints": sorted(str(c) for c in constraints),
         "n_areas": len(collection),
+        "data_sha256": _data_digest(collection),
     }
+
+
+def _data_digest(collection) -> str:
+    """sha256 over the problem data, in one pass over the areas: each
+    area's id, sorted attributes, dissimilarity and sorted neighbour
+    ids, plus the collection's dissimilarity attribute. Floats enter
+    through ``repr``, which round-trips them exactly."""
+    digest = hashlib.sha256(repr(collection.dissimilarity_attribute).encode())
+    for area_id in sorted(collection.ids):
+        area = collection.area(area_id)
+        digest.update(
+            repr(
+                (
+                    area_id,
+                    sorted(area.attributes.items()),
+                    area.dissimilarity,
+                    sorted(collection.neighbors(area_id)),
+                )
+            ).encode()
+        )
+    return digest.hexdigest()
 
 
 class SolveLedger:
@@ -189,86 +217,39 @@ class SolveLedger:
         )
 
     # ------------------------------------------------------------------
-    # construction passes
+    # work units
     # ------------------------------------------------------------------
-    @staticmethod
-    def _pass_key(attempt: int, index: int) -> str:
-        return f"construction/{attempt}/{index}"
+    def lookup(self, key: str):
+        """Replay the unit recorded under *key*, or ``None``.
 
-    def lookup_pass(self, attempt: int, index: int):
-        """Replay a recorded construction pass, or ``None``.
-
-        Returns the pass-result tuple ``(score_key, labels,
-        (p, n_unassigned), None, PerfCounters(), [])`` exactly as
-        :func:`repro.fact.pool.construction_pass_task` would. Replayed
-        units carry fresh (empty) perf counters and no spans —
-        hot-path counters and telemetry are diagnostics, not part of
-        the bit-identity contract, which covers the partition.
+        Returns the :class:`~repro.fact.pool.UnitResult` the unit's
+        task returned, with JSON's lists turned back into the task's
+        tuples. Replayed units carry fresh (empty) perf counters and
+        no spans — hot-path counters and telemetry are diagnostics,
+        not part of the bit-identity contract, which covers the
+        partition.
         """
-        stored = self.units.get(self._pass_key(attempt, index))
-        if stored is None:
-            return None
-        score_key, labels, scores = stored
-        self.counters.checkpoint_replays += 1
-        return (
-            tuple(score_key),
-            {int(area_id): label for area_id, label in labels.items()},
-            tuple(scores),
-            None,
-            PerfCounters(),
-            [],
-        )
-
-    def record_pass(self, attempt: int, index: int, result,
-                    budget: Budget | None = None) -> None:
-        """Record one *completed* construction pass and snapshot the
-        file. Interrupted passes (``result[3] is not None``) are
-        ignored — see the module docstring."""
-        score_key, labels, scores, status = result[:4]
-        if status is not None:
-            return
-        self.units[self._pass_key(attempt, index)] = [
-            list(score_key),
-            labels,
-            list(scores),
-        ]
-        self._snapshot(budget)
-
-    # ------------------------------------------------------------------
-    # tabu portfolio members
-    # ------------------------------------------------------------------
-    @staticmethod
-    def _member_key(member: int) -> str:
-        return f"tabu/{member}"
-
-    def lookup_member(self, member: int):
-        """Replay a recorded portfolio member outcome, or ``None``."""
-        stored = self.units.get(self._member_key(member))
+        stored = self.units.get(key)
         if stored is None:
             return None
         score, labels, stats = stored
         self.counters.checkpoint_replays += 1
-        stats = dict(stats)
-        stats["status"] = RunStatus.COMPLETE
-        return (
-            score,
-            {int(area_id): label for area_id, label in labels.items()},
-            stats,
-            PerfCounters(),
-            [],
+        return UnitResult(
+            score=tuple(score) if isinstance(score, list) else score,
+            labels={int(area_id): label for area_id, label in labels.items()},
+            stats=tuple(stats) if isinstance(stats, list) else dict(stats),
+            status=None,
+            perf=PerfCounters(),
+            spans=[],
         )
 
-    def record_member(self, member: int, outcome,
-                      budget: Budget | None = None) -> None:
-        """Record one *completed* portfolio member and snapshot the
-        file (interrupted members are recomputed on resume)."""
-        score, labels, stats = outcome[:3]
-        if stats.get("status") is not RunStatus.COMPLETE:
+    def record(self, key: str, result, budget: Budget | None = None) -> None:
+        """Record one *completed* unit as ``[score, labels, stats]`` and
+        snapshot the file. Interrupted units (``result.status`` set)
+        are ignored — see the module docstring."""
+        if result.status is not None:
             return
-        stored_stats = {
-            key: value for key, value in stats.items() if key != "status"
-        }
-        self.units[self._member_key(member)] = [score, labels, stored_stats]
+        self.units[key] = [result.score, result.labels, result.stats]
         self._snapshot(budget)
 
     # ------------------------------------------------------------------

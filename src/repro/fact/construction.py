@@ -9,13 +9,15 @@ labels are rebuilt into a canonical live
 (:meth:`SolutionState.from_labels`) which is handed to the local-search
 phase.
 
-Every pass runs the same task function
-(:func:`repro.fact.pool.construction_pass_task`) on a deterministic
-seed derived from ``rng_seed`` and the pass index — in-process when
-``n_jobs == 1``, on the solve's :class:`~repro.fact.pool.SolverPool`
-otherwise. Because the per-pass seeds, the reduction tie-break
-(submission order) and the canonical rebuild are identical on both
-paths, construction results are bit-identical at any worker count.
+Every pass is one work unit of the solve's
+:class:`~repro.fact.pool.SolverPool`: :meth:`SolverPool.run_units`
+runs :func:`repro.fact.pool.construction_pass_task` on a
+deterministic seed derived from ``rng_seed`` and the pass index —
+in-process when ``n_jobs == 1``, fanned out over worker processes
+otherwise — and handles ledger replay, progress and span adoption the
+same way for both. Because the per-pass seeds, the reduction tie-break
+(pass index) and the canonical rebuild do not depend on where a pass
+ran, construction results are bit-identical at any worker count.
 
 Every pass observes an optional :class:`repro.runtime.Budget` at its
 iteration boundaries (pass start, each seed, each enclave sweep, each
@@ -37,22 +39,14 @@ from ..core.area import AreaCollection
 from ..core.constraints import ConstraintSet
 from ..core.partition import Partition
 from ..obs.telemetry import DISABLED
-from ..runtime import Budget, Interrupted, RunStatus
+from ..runtime import Budget, RunStatus
 from .config import FaCTConfig
 from .feasibility import FeasibilityReport, check_feasibility
+from .pool import SolverPool, construction_pass_task
 from .seeding import SeedingResult, select_seeds
 from .state import SolutionState
 
 __all__ = ["ConstructionResult", "construct"]
-
-# How often the parallel path re-checks its budget while waiting on
-# worker processes (workers also enforce their own deadlines).
-_PARALLEL_POLL_SECONDS = 0.05
-
-# (score_key, labels, (p, n_unassigned), status, perf, spans) — what
-# one construction pass returns, see pool.construction_pass_task.
-_PassResult = tuple
-
 
 @dataclass
 class ConstructionResult:
@@ -127,17 +121,17 @@ def construct(
     (or its token is cancelled) mid-phase, returns the best-so-far
     partition flagged with the interruption status instead of raising.
 
-    *pool* is an optional :class:`repro.fact.pool.SolverPool` to run
-    passes on when ``config.n_jobs > 1`` — the solver shares one pool
-    across its construction attempts and the Tabu portfolio. Without
-    one, a temporary pool is created (and torn down) here.
+    *pool* is the :class:`repro.fact.pool.SolverPool` the passes run
+    on — the solver shares one pool, sized ``config.n_jobs``, across
+    its construction attempts and the Tabu portfolio. Without one the
+    passes run in-process.
 
     *ledger* is an optional
     :class:`~repro.fact.checkpointing.SolveLedger`: completed passes
     are recorded to it (keyed by *attempt_index* and pass index) and
     previously recorded passes are replayed instead of recomputed —
     the checkpoint/resume mechanism. *runtime_perf* collects the
-    worker-fault counters of the parallel path.
+    pool's worker-fault counters.
 
     *telemetry* is an optional :class:`repro.obs.SolveTelemetry`: each
     pass becomes a ``pass`` span (with ``grow``/``enclave``/
@@ -145,8 +139,6 @@ def construct(
     current span — worker-side spans included, stitched back through
     the task results.
     """
-    from .pool import SolverPool
-
     config = config or FaCTConfig()
     telemetry = telemetry if telemetry is not None else DISABLED
     budget = (budget or Budget.unlimited()).start()
@@ -158,53 +150,51 @@ def construct(
     feasibility.raise_if_infeasible()
     seeding = select_seeds(collection, constraints, feasibility)
 
-    owns_pool = pool is None
-    if owns_pool:
+    if pool is None:
         pool = SolverPool(
-            collection,
-            constraints,
-            feasibility.invalid_areas,
-            config,
-            max_workers=config.n_jobs,
+            collection, constraints, feasibility.invalid_areas, config,
+            max_workers=1,
         )
-    try:
-        if config.n_jobs > 1:
-            results, status = _run_passes_parallel(
-                config, seeding, budget, pool, attempt_index, ledger,
-                runtime_perf, telemetry,
-            )
-        else:
-            results, status = _run_passes_serial(
-                config, seeding, budget, pool, attempt_index, ledger,
-                telemetry,
-            )
-    finally:
-        if owns_pool:
-            pool.shutdown()
+    results, status = pool.run_units(
+        construction_pass_task,
+        [
+            (seeding, config.derived_pass_seed(index), config, index)
+            for index in range(config.construction_iterations)
+        ],
+        phase="construction",
+        unit="index",
+        context={"attempt": attempt_index},
+        key_prefix=f"construction/{attempt_index}/",
+        start_checkpoint="construction.pass.start",
+        budget=budget,
+        ledger=ledger,
+        perf=runtime_perf,
+        telemetry=telemetry,
+    )
 
-    pass_scores = [result[2] for result in results]
     ranked_labels: list[dict[int, int]] = []
     if results:
         # Submission order breaks ties, keeping the chosen pass (and
         # the portfolio's starting points) deterministic regardless of
         # completion order.
-        order = sorted(range(len(results)), key=lambda i: (results[i][0], i))
-        best_key, best_labels = results[order[0]][0], results[order[0]][1]
-        best_perf = results[order[0]][4]
+        order = sorted(
+            range(len(results)), key=lambda i: (results[i].score, i)
+        )
+        best = results[order[0]]
         # Only passes matching the winner's (p, n_unassigned) may seed
         # portfolio members: Tabu preserves both, and the portfolio
         # reduction compares members by objective score alone.
         ranked_labels = [
-            results[i][1]
+            results[i].labels
             for i in order
-            if results[i][0][:2] == best_key[:2]
+            if results[i].score[:2] == best.score[:2]
         ]
         best_state = SolutionState.from_labels(
             collection,
             constraints,
-            best_labels,
+            best.labels,
             excluded=feasibility.invalid_areas,
-            perf=best_perf,
+            perf=best.perf,
         )
     else:
         # Interrupted before any pass produced a candidate: an empty
@@ -218,7 +208,7 @@ def construct(
         feasibility=feasibility,
         seeding=seeding,
         iterations=len(results),
-        pass_scores=pass_scores,
+        pass_scores=[result.stats for result in results],
         ranked_labels=ranked_labels,
         elapsed_seconds=time.perf_counter() - started,
         status=status or RunStatus.COMPLETE,
@@ -229,201 +219,3 @@ def _score_key(state: SolutionState) -> tuple:
     """Pass comparison key: maximize p, then minimize unassigned, then
     minimize H."""
     return (-state.p, state.n_unassigned, state.total_heterogeneity())
-
-
-def _run_passes_serial(
-    config: FaCTConfig,
-    seeding: SeedingResult,
-    budget: Budget,
-    pool,
-    attempt_index: int = 0,
-    ledger=None,
-    telemetry=DISABLED,
-) -> tuple[list[_PassResult], RunStatus | None]:
-    """Run the passes in-process, sharing the parent budget (so a
-    cancellation is observed mid-pass, not only between passes).
-
-    Passes recorded on *ledger* are replayed instead of recomputed;
-    freshly completed ones are recorded as they finish.
-    """
-    from .pool import construction_pass_task
-
-    span_context = telemetry.span_context()
-    results: list[_PassResult] = []
-    status: RunStatus | None = None
-    for index in range(config.construction_iterations):
-        try:
-            budget.checkpoint("construction.pass.start")
-        except Interrupted as signal:
-            status = signal.status
-            break
-        result = (
-            ledger.lookup_pass(attempt_index, index)
-            if ledger is not None
-            else None
-        )
-        if result is None:
-            result = pool.run_local(
-                construction_pass_task,
-                seeding,
-                config.derived_pass_seed(index),
-                config,
-                None,
-                budget,
-                span_context,
-                index,
-            )
-            if ledger is not None:
-                ledger.record_pass(attempt_index, index, result, budget)
-        else:
-            telemetry.event(
-                "checkpoint.replay",
-                phase="construction",
-                attempt=attempt_index,
-                index=index,
-            )
-        telemetry.adopt_spans(result[5])
-        try:
-            budget.checkpoint("pool.result")
-        except Interrupted:
-            pass  # observed at the next pass-start checkpoint
-        results.append(result)
-        telemetry.progress(
-            "construction",
-            done=len(results),
-            total=config.construction_iterations,
-            attempt=attempt_index,
-        )
-        pass_status = result[3]
-        if pass_status is not None:
-            status = pass_status
-            break
-    return results, status
-
-
-def _run_passes_parallel(
-    config: FaCTConfig,
-    seeding: SeedingResult,
-    budget: Budget,
-    pool,
-    attempt_index: int = 0,
-    ledger=None,
-    runtime_perf=None,
-    telemetry=DISABLED,
-) -> tuple[list[_PassResult], RunStatus | None]:
-    """Fan the passes out over the worker pool.
-
-    Each pass gets the budget's remaining wall-clock time as its own
-    local deadline (the parent's cancellation token is invisible
-    across processes). Collection is fault-tolerant
-    (:meth:`~repro.fact.pool.SolverPool.collect_resilient`): crashed
-    or poisoned passes retry on surviving workers or degrade to
-    in-process execution, and a budget interruption cancels pending
-    passes while keeping completed ones. Ledger-recorded passes are
-    replayed without being submitted at all.
-    """
-    from .pool import construction_pass_task
-
-    try:
-        budget.checkpoint("construction.pass.start")
-    except Interrupted as signal:
-        return [], signal.status
-
-    replayed: dict[int, _PassResult] = {}
-    to_run: list[int] = []
-    for index in range(config.construction_iterations):
-        replay = (
-            ledger.lookup_pass(attempt_index, index)
-            if ledger is not None
-            else None
-        )
-        if replay is not None:
-            replayed[index] = replay
-            telemetry.event(
-                "checkpoint.replay",
-                phase="construction",
-                attempt=attempt_index,
-                index=index,
-            )
-        else:
-            to_run.append(index)
-
-    span_context = telemetry.span_context()
-    deadline_remaining = budget.remaining()
-    submit_args = [
-        (
-            seeding,
-            config.derived_pass_seed(index),
-            config,
-            deadline_remaining,
-            None,
-            span_context,
-            index,
-        )
-        for index in to_run
-    ]
-    local_args = [
-        (
-            seeding,
-            config.derived_pass_seed(index),
-            config,
-            None,
-            budget,
-            span_context,
-            index,
-        )
-        for index in to_run
-    ]
-
-    completed = {"count": len(replayed)}
-    if replayed:
-        telemetry.progress(
-            "construction",
-            done=completed["count"],
-            total=config.construction_iterations,
-            attempt=attempt_index,
-        )
-
-    def _record(position: int, result: _PassResult) -> None:
-        if ledger is not None:
-            ledger.record_pass(attempt_index, to_run[position], result, budget)
-        # Live fan-out progress: counts only (completion order is
-        # nondeterministic; the count is not).
-        completed["count"] += 1
-        telemetry.progress(
-            "construction",
-            done=completed["count"],
-            total=config.construction_iterations,
-            attempt=attempt_index,
-        )
-
-    collected, status = pool.collect_resilient(
-        construction_pass_task,
-        submit_args,
-        local_args,
-        budget=budget,
-        perf=runtime_perf,
-        retry_policy=config.pool_retry_policy(),
-        task_deadline=config.worker_task_deadline_seconds,
-        on_result=_record,
-        poll_seconds=_PARALLEL_POLL_SECONDS,
-        telemetry=telemetry,
-    )
-
-    outcome = dict(replayed)
-    for position, result in collected.items():
-        outcome[to_run[position]] = result
-    # Pass-index order == submission order, like the serial path appends.
-    results = [outcome[index] for index in sorted(outcome)]
-    for result in results:
-        # Adoption in pass-index order keeps the event log deterministic
-        # regardless of worker completion order.
-        telemetry.adopt_spans(result[5])
-    if status is None:
-        # A worker may have tripped its local deadline even though the
-        # parent loop never observed the budget as expired.
-        for result in results:
-            if result[3] is not None:
-                status = result[3]
-                break
-    return results, status

@@ -76,8 +76,9 @@ def grow_regions(
 
     *tracer* is an optional :class:`repro.obs.Tracer`; each substep
     becomes a span (``grow`` / ``enclave`` / ``extrema``) carrying the
-    state shape it left behind — the same numbers
-    :func:`repro.fact.trace.trace_solve` snapshots per step.
+    state shape it left behind — the spans
+    :func:`repro.fact.trace.trace_solve` builds its step snapshots
+    from.
     """
     if tracer is None:
         tracer = NULL_TRACER

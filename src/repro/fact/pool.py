@@ -1,26 +1,32 @@
-"""Persistent worker pool for the parallel parts of a solve.
+"""The solve's work-unit runner and its worker pool.
 
-One :class:`SolverPool` is created per :meth:`FaCT.solve` call when
-``n_jobs > 1`` and lives across *all* parallel stages of that call —
-every construction pass of every retry attempt, then every Tabu
-portfolio member. The heavy, immutable payload (area collection,
-constraint set, excluded areas, config) is shipped to each worker
-process exactly once, through the executor's *initializer*; individual
-task submissions then carry only the per-task scalars (a seed, a label
-snapshot, a deadline). This replaces the earlier scheme of pickling the
-whole dataset into every submitted future, which dominated dispatch
-cost for large collections.
+FaCT keeps the best of several independent construction passes and,
+at ``tabu_portfolio > 1``, of several seeded Tabu members. Each pass
+and each member is one *work unit*: a task function of this module
+that returns a :class:`UnitResult` depending only on its arguments.
+One :class:`SolverPool` is created per :meth:`FaCT.solve` call and
+runs every unit of it through :meth:`SolverPool.run_units` — ledger
+replay, run, record, progress, span adoption and the status
+reduction, in that order, for both unit kinds and at any ``n_jobs``.
+
+At ``n_jobs == 1`` units run in-process on the live budget. Above it
+they fan out over a process pool, created lazily on the first
+submission and shared by every parallel stage of the solve. The heavy,
+immutable payload (area collection, constraint set, excluded areas,
+config) is shipped to each worker process exactly once, through the
+executor's *initializer*; individual task submissions then carry only
+the per-task scalars (a seed, a label snapshot, a deadline).
 
 Worker tasks rebuild live solver state with
 :meth:`repro.fact.state.SolutionState.from_labels` (the canonical
 renumbering), so a task's result depends only on its arguments — never
-on which process ran it or in what order. The reductions on the parent
-side are deterministic for the same reason, which is what makes solve
-results bit-identical across ``n_jobs`` values.
+on which process ran it or in what order — and :meth:`run_units`
+returns results in unit-index order. That is what makes solve results
+bit-identical across ``n_jobs`` values.
 
 Budgets do not cross process boundaries (the parent's cancellation
-token is invisible here), so each task receives the parent budget's
-*remaining seconds* and enforces it with a local
+token is invisible there), so each fanned-out task receives the parent
+budget's *remaining seconds* and enforces it with a local
 :class:`~repro.runtime.Budget`; the parent additionally polls its own
 budget while waiting and cancels still-pending futures on interrupt.
 """
@@ -29,6 +35,7 @@ from __future__ import annotations
 
 import random
 import time
+from typing import NamedTuple
 from concurrent.futures import Future, ProcessPoolExecutor, wait
 from concurrent.futures.process import BrokenProcessPool
 
@@ -41,7 +48,7 @@ from ..runtime import Budget, Interrupted, RetryPolicy, RunStatus
 from .config import FaCTConfig
 from .state import SolutionState
 
-__all__ = ["SolverPool"]
+__all__ = ["SolverPool", "UnitResult"]
 
 # The per-process payload installed by the pool initializer. One tuple
 # (collection, constraints, excluded, config) per worker process.
@@ -69,25 +76,43 @@ def _local_budget(deadline_seconds: float | None) -> Budget | None:
     return Budget(deadline_seconds=deadline_seconds).start()
 
 
+class UnitResult(NamedTuple):
+    """What one work unit — a construction pass or a Tabu portfolio
+    member — hands back to :meth:`SolverPool.run_units`.
+
+    ``score`` orders units (a pass's ``(-p, n_unassigned, H)`` key, a
+    member's final objective score); ``stats`` is a pass's
+    ``(p, n_unassigned)`` or a member's search statistics dict;
+    ``status`` is ``None`` for a completed unit, else the interruption
+    that cut it short. The first three fields are what the solve ledger
+    persists; ``perf`` and ``spans`` are diagnostics.
+    """
+
+    score: object
+    labels: dict[int, int]
+    stats: object
+    status: RunStatus | None
+    perf: PerfCounters
+    spans: list
+
+
 def construction_pass_task(
     seeding,
     pass_seed: int,
     config_override: FaCTConfig | None = None,
+    pass_index: int | None = None,
     deadline_seconds: float | None = None,
     budget: Budget | None = None,
     span_context=None,
-    pass_index: int | None = None,
-) -> tuple:
+) -> UnitResult:
     """One construction pass against the installed worker context.
 
-    Returns ``(score_key, labels, (p, n_unassigned), status, perf,
-    spans)``. Regions travel back as labels because live states are
-    cheaper to rebuild than to pickle. *config_override* carries a
-    retry attempt's config (same knobs, different base seed); the
-    actual randomness comes from *pass_seed* either way. In-process
-    callers pass their live *budget* (cancellation token included);
-    worker submissions pass *deadline_seconds* instead and get a local
-    one.
+    Regions travel back as labels because live states are cheaper to
+    rebuild than to pickle. *config_override* carries a retry
+    attempt's config (same knobs, different base seed); the actual
+    randomness comes from *pass_seed* either way. In-process callers
+    pass their live *budget* (cancellation token included); worker
+    submissions pass *deadline_seconds* instead and get a local one.
 
     *span_context* (a :meth:`repro.obs.Tracer.context` value) roots
     this pass's telemetry under the parent's current span; the
@@ -126,13 +151,13 @@ def construction_pass_task(
         for area_id, region_id in state.assignment.items()
         if region_id is not None
     }
-    return (
-        _score_key(state),
-        labels,
-        (state.p, state.n_unassigned),
-        status,
-        state.perf,
-        list(tracer.finished),
+    return UnitResult(
+        score=_score_key(state),
+        labels=labels,
+        stats=(state.p, state.n_unassigned),
+        status=status,
+        perf=state.perf,
+        spans=list(tracer.finished),
     )
 
 
@@ -145,14 +170,14 @@ def portfolio_member_task(
     deadline_seconds: float | None = None,
     budget: Budget | None = None,
     span_context=None,
-) -> tuple:
+) -> UnitResult:
     """One Tabu portfolio member against the installed worker context.
 
-    Rebuilds the member's starting state canonically from *labels*,
+    Rebuilds the member's starting state canonically from *labels* and
     runs the full Tabu search (perturbed first when
-    ``perturbation_moves > 0``) and returns ``(best_score,
-    best_labels, stats, perf, spans)``. Deterministic in its arguments
-    — the serial portfolio path calls this very function in-process.
+    ``perturbation_moves > 0``). The result's score is the member's
+    final objective score and its labels the best partition found.
+    Deterministic in its arguments, wherever it runs.
 
     *span_context* roots the member's telemetry under the parent's
     ``tabu`` span (see :func:`construction_pass_task`).
@@ -189,7 +214,6 @@ def portfolio_member_task(
                 iterations=result.iterations,
                 status=result.status.value,
             )
-    best_labels = result.partition.labels()
     stats = {
         "member": member_index,
         "heterogeneity_before": result.heterogeneity_before,
@@ -197,14 +221,14 @@ def portfolio_member_task(
         "iterations": result.iterations,
         "moves_applied": result.moves_applied,
         "elapsed_seconds": result.elapsed_seconds,
-        "status": result.status,
     }
-    return (
-        result.heterogeneity_after,
-        best_labels,
-        stats,
-        state.perf,
-        list(tracer.finished),
+    return UnitResult(
+        score=result.heterogeneity_after,
+        labels=result.partition.labels(),
+        stats=stats,
+        status=None if result.status is RunStatus.COMPLETE else result.status,
+        perf=state.perf,
+        spans=list(tracer.finished),
     )
 
 
@@ -212,10 +236,11 @@ class SolverPool:
     """A process pool bound to one solve's immutable payload.
 
     The executor is created lazily on the first submission, so building
-    a :class:`SolverPool` is free when no parallel stage ends up
-    running. ``run_local`` executes the same task functions in-process
-    (after installing the payload as the in-process context), which is
-    how ``n_jobs=1`` and worker execution stay behaviorally identical.
+    a :class:`SolverPool` is free when every unit runs in-process
+    (``max_workers == 1``). ``run_local`` executes the same task
+    functions in-process (after installing the payload as the
+    in-process context), which is how ``n_jobs=1`` and worker
+    execution stay behaviorally identical.
     """
 
     def __init__(
@@ -263,6 +288,131 @@ class SolverPool:
         if self._executor is not None:
             self._executor.shutdown(wait=False, cancel_futures=True)
             self._executor = None
+
+    def run_units(
+        self,
+        task,
+        specs: list[tuple],
+        *,
+        phase: str,
+        unit: str,
+        budget: Budget,
+        key_prefix: str,
+        context: dict | None = None,
+        start_checkpoint: str | None = None,
+        ledger=None,
+        perf: PerfCounters | None = None,
+        telemetry=None,
+    ) -> tuple[list[UnitResult], RunStatus | None]:
+        """Run one work unit per spec and return the results in spec
+        order with the phase's interruption status (``None`` when
+        every unit completed).
+
+        Unit *i* calls ``task(*specs[i], deadline_seconds, budget,
+        span_context)``. For each unit, in order: a unit recorded on
+        *ledger* under ``f"{key_prefix}{i}"`` is replayed instead of
+        run (a ``checkpoint.replay`` event); a fresh completed unit is
+        recorded there; every unit reports ``progress`` for *phase*
+        (*context* fields plus ``{unit: i}``). Finished spans are then
+        adopted in index order, so the event log does not depend on
+        worker completion order, and the status is the budget's
+        interruption or else the first interrupted unit's.
+
+        With ``max_workers == 1`` the units run inline on the live
+        *budget* (cancellation observed mid-unit), each behind
+        *start_checkpoint* (a plain status check when ``None``), and
+        the first interrupted unit ends the phase. Otherwise the gate
+        runs once and the units fan out over the pool through
+        :meth:`collect_resilient`, each worker enforcing the budget's
+        remaining seconds locally.
+        """
+        telemetry = telemetry if telemetry is not None else DISABLED
+        context = context or {}
+        config = self._payload[3]
+        span_context = telemetry.span_context()
+        done: dict[int, UnitResult] = {}
+
+        def _gate() -> RunStatus | None:
+            if start_checkpoint is None:
+                return budget.status()
+            try:
+                budget.checkpoint(start_checkpoint)
+            except Interrupted as signal:
+                return signal.status
+            return None
+
+        def _replay(index: int) -> UnitResult | None:
+            if ledger is None:
+                return None
+            result = ledger.lookup(f"{key_prefix}{index}")
+            if result is not None:
+                telemetry.event(
+                    "checkpoint.replay", phase=phase, **context,
+                    **{unit: index},
+                )
+            return result
+
+        def _finish(index: int, result: UnitResult, fresh: bool) -> None:
+            if fresh and ledger is not None:
+                ledger.record(f"{key_prefix}{index}", result, budget)
+            done[index] = result
+            telemetry.progress(
+                phase, done=len(done), total=len(specs), **context,
+                **{unit: index},
+            )
+
+        status: RunStatus | None = None
+        if self.max_workers == 1:
+            for index, spec in enumerate(specs):
+                status = _gate()
+                if status is not None:
+                    break
+                result = _replay(index)
+                fresh = result is None
+                if fresh:
+                    result = self.run_local(
+                        task, *spec, None, budget, span_context
+                    )
+                try:
+                    budget.checkpoint("pool.result")
+                except Interrupted:
+                    pass  # observed at the next unit's gate
+                _finish(index, result, fresh)
+                if result.status is not None:
+                    break
+        else:
+            status = _gate()
+            if status is None:
+                to_run = []
+                for index in range(len(specs)):
+                    result = _replay(index)
+                    if result is None:
+                        to_run.append(index)
+                    else:
+                        _finish(index, result, fresh=False)
+                remote = (budget.remaining(), None, span_context)
+                local = (None, budget, span_context)
+                _, status = self.collect_resilient(
+                    task,
+                    [specs[i] + remote for i in to_run],
+                    [specs[i] + local for i in to_run],
+                    budget=budget,
+                    perf=perf,
+                    retry_policy=config.pool_retry_policy(),
+                    task_deadline=config.worker_task_deadline_seconds,
+                    on_result=lambda position, result: _finish(
+                        to_run[position], result, fresh=True
+                    ),
+                    telemetry=telemetry,
+                )
+        results = [done[index] for index in sorted(done)]
+        for result in results:
+            telemetry.adopt_spans(result.spans)
+        if status is None:
+            status = next(
+                (r.status for r in results if r.status is not None), None
+            )
+        return results, status
 
     def collect_resilient(
         self,

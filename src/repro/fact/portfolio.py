@@ -14,22 +14,26 @@ starting point. The members diversify along two axes:
 
 Member 0 is the plain deterministic search from the winning pass, so
 the portfolio's answer is never worse than the single-search answer
-for the same construction. The reduction is ``min`` over
+for the same construction. Members are work units of the solve's
+:class:`~repro.fact.pool.SolverPool` (:meth:`SolverPool.run_units`,
+the same runner as the construction passes), which returns them in
+member-index order whether they ran in-process (``n_jobs == 1``) or
+on worker processes. The reduction is ``min`` over
 ``(final_score, member_index)`` — bit-deterministic, which together
 with the canonical per-member state rebuild
 (:meth:`~repro.fact.state.SolutionState.from_labels`) makes the
-portfolio result identical whether members run serially
-(``n_jobs == 1``) or on the worker pool.
+portfolio result identical at any worker count.
 """
 
 from __future__ import annotations
 
 import time
 
+from ..core.partition import Partition
 from ..obs.telemetry import DISABLED
-from ..runtime import Budget, Interrupted, RunStatus
+from ..runtime import Budget, RunStatus
 from .config import FaCTConfig
-from .pool import portfolio_member_task
+from .pool import SolverPool, portfolio_member_task
 from .state import SolutionState
 from .tabu import TabuResult, tabu_improve
 
@@ -39,9 +43,6 @@ __all__ = ["improve_portfolio"]
 # A handful is enough to leave the starting basin; each kick's reverse
 # move is tabu, so a member cannot immediately undo its diversification.
 _PERTURBATION_KICKS = 3
-
-# Parent-side poll interval while waiting on member futures.
-_POLL_SECONDS = 0.05
 
 
 def improve_portfolio(
@@ -61,10 +62,9 @@ def improve_portfolio(
     point); *ranked_labels* the construction passes eligible as
     starting points (defaults to just *state*'s own labels). With
     ``tabu_portfolio == 1`` this is exactly :func:`tabu_improve` on
-    *state*. Members run on *pool* (a
-    :class:`~repro.fact.pool.SolverPool`) when given and
-    ``config.n_jobs > 1``, serially in-process otherwise — with
-    bit-identical results.
+    *state*. Members are work units of *pool* (the solve's
+    :class:`~repro.fact.pool.SolverPool`; without one they run
+    in-process) — with bit-identical results at any worker count.
 
     The winning member's search statistics are returned; its
     ``heterogeneity_before`` is always member 0's (the winning
@@ -76,8 +76,8 @@ def improve_portfolio(
 
     *ledger* (a :class:`~repro.fact.checkpointing.SolveLedger`)
     replays members recorded by an earlier killed run and records
-    freshly completed ones; *runtime_perf* collects the parallel
-    path's worker-fault counters.
+    freshly completed ones; *runtime_perf* collects the pool's
+    worker-fault counters.
 
     *telemetry* is an optional :class:`repro.obs.SolveTelemetry`: the
     whole phase becomes one ``tabu`` span with a ``member`` span per
@@ -112,18 +112,22 @@ def improve_portfolio(
             for index in range(members)
         ]
 
-        if pool is not None and config.n_jobs > 1:
-            outcomes, status = _run_members_parallel(
-                specs, budget, pool, config, ledger, runtime_perf, telemetry
+        if pool is None:
+            pool = SolverPool(
+                state.collection, state.constraints, state.excluded, config,
+                max_workers=1,
             )
-        else:
-            outcomes, status = _run_members_serial(
-                specs, budget, pool, config, state, ledger, telemetry
-            )
-        for outcome in outcomes:
-            # Member-index order, so the event log is deterministic
-            # regardless of worker completion order.
-            telemetry.adopt_spans(outcome[4])
+        outcomes, status = pool.run_units(
+            portfolio_member_task,
+            specs,
+            phase="tabu",
+            unit="member",
+            key_prefix="tabu/",
+            budget=(budget or Budget.unlimited()).start(),
+            ledger=ledger,
+            perf=runtime_perf,
+            telemetry=telemetry,
+        )
 
         perf = state.perf
         baseline_h = state.total_heterogeneity()
@@ -139,36 +143,29 @@ def improve_portfolio(
             )
 
         for outcome in outcomes:
-            stats, member_perf = outcome[2], outcome[3]
-            perf.merge(member_perf)
+            perf.merge(outcome.perf)
             telemetry.metrics.counter(
-                "phase_seconds", phase=f"tabu.member{stats['member']}"
-            ).inc(stats["elapsed_seconds"])
-        best = min(outcomes, key=lambda item: (item[0], item[2]["member"]))
-        best_score, best_labels, best_stats = best[0], best[1], best[2]
-
-        before = next(
-            (
-                outcome[2]["heterogeneity_before"]
-                for outcome in outcomes
-                if outcome[2]["member"] == 0
-            ),
-            baseline_h,
+                "phase_seconds", phase=f"tabu.member{outcome.stats['member']}"
+            ).inc(outcome.stats["elapsed_seconds"])
+        # Members come back in member-index order, so min keeps the
+        # lowest index among equal scores.
+        best = min(outcomes, key=lambda outcome: outcome.score)
+        best_stats = best.stats
+        before = (
+            outcomes[0].stats["heterogeneity_before"]
+            if outcomes[0].stats["member"] == 0
+            else baseline_h
         )
-        if status is None:
-            member_status = best_stats["status"]
-            if member_status is not RunStatus.COMPLETE:
-                status = member_status
         if tabu_span.recording:
             tabu_span.set(
                 best_member=best_stats["member"],
-                heterogeneity_after=best_score,
+                heterogeneity_after=best.score,
                 iterations=best_stats["iterations"],
             )
         return TabuResult(
-            partition=_partition_from_labels(best_labels),
+            partition=Partition.from_labels(best.labels),
             heterogeneity_before=before,
-            heterogeneity_after=best_score,
+            heterogeneity_after=best.score,
             iterations=best_stats["iterations"],
             moves_applied=best_stats["moves_applied"],
             elapsed_seconds=time.perf_counter() - started,
@@ -184,131 +181,3 @@ def _labels_of(state: SolutionState) -> dict[int, int]:
     }
 
 
-def _partition_from_labels(labels: dict[int, int]):
-    from ..core.partition import Partition
-
-    return Partition.from_labels(labels)
-
-
-def _run_members_serial(
-    specs, budget, pool, config, state, ledger=None, telemetry=DISABLED
-):
-    """Run the members one after another in-process.
-
-    Uses the pool's ``run_local`` when a pool exists (so the exact
-    same task function executes either way); without one, installs an
-    equivalent context from *state* directly. Ledger-recorded members
-    are replayed; freshly completed ones are recorded.
-    """
-    from .pool import SolverPool
-
-    if pool is None:
-        pool = SolverPool(
-            state.collection,
-            state.constraints,
-            state.excluded,
-            config,
-            max_workers=1,
-        )
-    span_context = telemetry.span_context()
-    outcomes = []
-    status = None
-    for spec in specs:
-        if budget is not None:
-            status = budget.status()
-            if status is not None:
-                break
-        member_index = spec[1]
-        outcome = (
-            ledger.lookup_member(member_index) if ledger is not None else None
-        )
-        if outcome is None:
-            outcome = pool.run_local(
-                portfolio_member_task, *spec, None, budget, span_context
-            )
-            if ledger is not None:
-                ledger.record_member(member_index, outcome, budget)
-        else:
-            telemetry.event(
-                "checkpoint.replay", phase="tabu", member=member_index
-            )
-        if budget is not None:
-            try:
-                budget.checkpoint("pool.result")
-            except Interrupted:
-                pass  # observed at the next member's status check
-        outcomes.append(outcome)
-        telemetry.progress(
-            "tabu", done=len(outcomes), total=len(specs), member=member_index
-        )
-    return outcomes, status
-
-
-def _run_members_parallel(
-    specs, budget, pool, config, ledger=None, runtime_perf=None,
-    telemetry=DISABLED,
-):
-    """Fan the members out over the worker pool.
-
-    Collection is fault-tolerant
-    (:meth:`~repro.fact.pool.SolverPool.collect_resilient`): a crashed
-    or poisoned member retries on surviving workers or degrades to
-    in-process execution; workers enforce the remaining deadline
-    locally. Ledger-recorded members are replayed without being
-    submitted.
-    """
-    replayed: dict[int, tuple] = {}
-    to_run: list[tuple] = []
-    for spec in specs:
-        outcome = ledger.lookup_member(spec[1]) if ledger is not None else None
-        if outcome is not None:
-            replayed[spec[1]] = outcome
-            telemetry.event(
-                "checkpoint.replay", phase="tabu", member=spec[1]
-            )
-        else:
-            to_run.append(spec)
-
-    span_context = telemetry.span_context()
-    deadline_remaining = budget.remaining() if budget is not None else None
-    submit_args = [
-        spec + (deadline_remaining, None, span_context) for spec in to_run
-    ]
-    local_args = [spec + (None, budget, span_context) for spec in to_run]
-
-    completed = {"count": len(replayed)}
-    if replayed:
-        telemetry.progress(
-            "tabu", done=completed["count"], total=len(specs)
-        )
-
-    def _record(position: int, outcome) -> None:
-        if ledger is not None:
-            ledger.record_member(to_run[position][1], outcome, budget)
-        completed["count"] += 1
-        telemetry.progress(
-            "tabu",
-            done=completed["count"],
-            total=len(specs),
-            member=to_run[position][1],
-        )
-
-    collected, status = pool.collect_resilient(
-        portfolio_member_task,
-        submit_args,
-        local_args,
-        budget=budget,
-        perf=runtime_perf,
-        retry_policy=config.pool_retry_policy(),
-        task_deadline=config.worker_task_deadline_seconds,
-        on_result=_record,
-        poll_seconds=_POLL_SECONDS,
-        telemetry=telemetry,
-    )
-
-    outcome_by_member = dict(replayed)
-    for position, outcome in collected.items():
-        outcome_by_member[to_run[position][1]] = outcome
-    # Member-index order == submission order.
-    outcomes = [outcome_by_member[m] for m in sorted(outcome_by_member)]
-    return outcomes, status

@@ -510,21 +510,18 @@ class FaCT:
                 telemetry.snapshot_metrics("construction")
                 telemetry.progress("construction", 1, 1, force=True)
             else:
-                # One worker pool serves every parallel stage of this
-                # solve — all construction passes of all retry
-                # attempts, then the Tabu portfolio members. The
-                # dataset ships to each worker process once, at pool
-                # initialization.
-                pool = None
-                if config.n_jobs > 1:
-                    pool = SolverPool(
-                        collection,
-                        constraints,
-                        feasibility.invalid_areas,
-                        config,
-                        max_workers=config.n_jobs,
-                    )
-                try:
+                # One pool runs every work unit of this solve — all
+                # construction passes of all retry attempts, then the
+                # Tabu portfolio members: in-process at n_jobs == 1,
+                # else on worker processes that receive the dataset
+                # once, at pool initialization.
+                with SolverPool(
+                    collection,
+                    constraints,
+                    feasibility.invalid_areas,
+                    config,
+                    max_workers=config.n_jobs,
+                ) as pool:
                     construction, attempts = self._construct_with_retries(
                         collection, constraints, feasibility, budget, pool,
                         ledger, runtime_perf, telemetry,
@@ -566,9 +563,6 @@ class FaCT:
                             telemetry=telemetry,
                         )
                         partition = tabu.partition
-                finally:
-                    if pool is not None:
-                        pool.shutdown()
 
             if telemetry.enabled:
                 telemetry.metrics.absorb_perf(
@@ -712,7 +706,7 @@ class FaCT:
         constraints: ConstraintSet,
         feasibility: FeasibilityReport,
         budget: Budget,
-        pool: SolverPool | None = None,
+        pool: SolverPool,
         ledger: SolveLedger | None = None,
         runtime_perf: PerfCounters | None = None,
         telemetry=DISABLED,
@@ -847,16 +841,13 @@ class FaCT:
                     if component_span.recording:
                         component_span.set(p=0, status="infeasible")
                     continue
-                pool = None
-                if config.n_jobs > 1:
-                    pool = SolverPool(
-                        sub,
-                        constraints,
-                        sub_feasibility.invalid_areas,
-                        config,
-                        max_workers=config.n_jobs,
-                    )
-                try:
+                with SolverPool(
+                    sub,
+                    constraints,
+                    sub_feasibility.invalid_areas,
+                    config,
+                    max_workers=config.n_jobs,
+                ) as pool:
                     construction, attempts = self._construct_with_retries(
                         sub, constraints, sub_feasibility, budget, pool,
                         None, runtime_perf, telemetry,
@@ -880,9 +871,6 @@ class FaCT:
                             telemetry=telemetry,
                         )
                         component_partition = tabu.partition
-                finally:
-                    if pool is not None:
-                        pool.shutdown()
                 attempts_all.extend(attempts)
                 iterations += construction.iterations
                 runtime_perf.merge(construction.state.perf)

@@ -14,7 +14,7 @@ import os
 
 import pytest
 
-from repro.core import ConstraintSet
+from repro.core import Area, AreaCollection, ConstraintSet
 from repro.data.schema import default_constraints
 from repro.exceptions import CheckpointError
 from repro.fact import FaCT, FaCTConfig, SolveLedger
@@ -146,6 +146,96 @@ class TestLedgerRefusals:
             )
 
 
+def _rebuilt(collection, attributes=None, extra_edge=None):
+    """A copy of *collection* with one area's attributes replaced
+    (``(area_id, {name: value})``) or one adjacency edge added."""
+    areas = []
+    for area in collection:
+        values = dict(area.attributes)
+        if attributes is not None and area.area_id == attributes[0]:
+            values.update(attributes[1])
+        areas.append(Area(area.area_id, values, area.dissimilarity))
+    adjacency = {
+        area_id: set(collection.neighbors(area_id))
+        for area_id in collection.ids
+    }
+    if extra_edge is not None:
+        a, b = extra_edge
+        adjacency[a].add(b)
+        adjacency[b].add(a)
+    return AreaCollection(
+        areas, adjacency,
+        dissimilarity_attribute=collection.dissimilarity_attribute,
+    )
+
+
+class TestDataFingerprint:
+    """The fingerprint covers the data, not just its size: a resume
+    against a changed dataset must refuse the recorded units."""
+
+    def _refused(self, tiny_census, changed, constraints, tmp_path):
+        config = _config(tmp_path, checkpoint_keep_on_complete=True)
+        FaCT(config).solve(tiny_census, constraints)
+        assert os.path.exists(config.checkpoint_path)
+        with pytest.raises(CheckpointError, match="data_sha256"):
+            FaCT(config).solve(
+                changed, constraints, resume_from=config.checkpoint_path
+            )
+
+    def test_changed_attribute_value_refuses_resume(
+        self, tiny_census, constraints, tmp_path
+    ):
+        name = tiny_census.dissimilarity_attribute
+        area_id = tiny_census.ids[0]
+        value = tiny_census.attribute(area_id, name)
+        changed = _rebuilt(
+            tiny_census, attributes=(area_id, {name: 3 * value})
+        )
+        self._refused(tiny_census, changed, constraints, tmp_path)
+
+    def test_changed_adjacency_edge_refuses_resume(
+        self, tiny_census, constraints, tmp_path
+    ):
+        a = tiny_census.ids[0]
+        b = next(
+            other
+            for other in tiny_census.ids
+            if other != a and other not in tiny_census.neighbors(a)
+        )
+        changed = _rebuilt(tiny_census, extra_edge=(a, b))
+        assert len(changed) == len(tiny_census)
+        self._refused(tiny_census, changed, constraints, tmp_path)
+
+    def test_checkpoint_without_data_digest_is_refused(
+        self, tiny_census, constraints, tmp_path
+    ):
+        # Files written before the digest existed cannot vouch for
+        # their data.
+        config = _config(tmp_path, checkpoint_keep_on_complete=True)
+        FaCT(config).solve(tiny_census, constraints)
+        payload = json.loads(open(config.checkpoint_path).read())
+        del payload["fingerprint"]["data_sha256"]
+        atomic_write_text(config.checkpoint_path, json.dumps(payload))
+        with pytest.raises(CheckpointError, match="data_sha256"):
+            FaCT(config).solve(
+                tiny_census, constraints,
+                resume_from=config.checkpoint_path,
+            )
+
+    def test_unchanged_rebuild_resumes(
+        self, tiny_census, constraints, tmp_path
+    ):
+        # An equal dataset built afresh hashes the same.
+        config = _config(tmp_path, checkpoint_keep_on_complete=True)
+        reference = FaCT(config).solve(tiny_census, constraints)
+        resumed = FaCT(config).solve(
+            _rebuilt(tiny_census), constraints,
+            resume_from=config.checkpoint_path,
+        )
+        assert resumed.partition.labels() == reference.partition.labels()
+        assert resumed.perf.checkpoint_replays >= 1
+
+
 class TestCheckpointLifecycle:
     def test_complete_solve_deletes_its_checkpoint(self, tiny_census,
                                                    constraints, tmp_path):
@@ -269,3 +359,92 @@ class TestBitIdenticalResume:
         )
         assert resumed.certificate is not None
         assert resumed.certificate.valid
+
+
+class TestFaultCheckpointVisits:
+    """Every unit of a checkpointed portfolio solve passes the same
+    fault checkpoints as many times at any worker count. Worker
+    processes keep their own visit counts, so at ``n_jobs=2`` only the
+    parent's are seen: one ``construction.pass.start`` gate for the
+    fan-out, and one ``pool.result`` and ``checkpoint.write`` per unit
+    it collects and records."""
+
+    # 3 construction passes + 3 portfolio members.
+    FRESH = {
+        1: {
+            "checkpoint.write": 6,
+            "construction.adjust.phase": 15,
+            "construction.grow.enclave": 12,
+            "construction.grow.seed": 60,
+            "construction.pass.start": 3,
+            "feasibility.checked": 1,
+            "pool.result": 6,
+            "preflight.components": 1,
+            "preflight.lint": 1,
+            "tabu.iteration": 30,
+        },
+        2: {
+            "checkpoint.write": 6,
+            "construction.pass.start": 1,
+            "feasibility.checked": 1,
+            "pool.result": 6,
+            "preflight.components": 1,
+            "preflight.lint": 1,
+        },
+    }
+    # Resumed from a file holding 4 units (killed at the 5th write):
+    # inline, replayed units still pass their gate and pool.result;
+    # fanned out, only the 2 recomputed members are collected.
+    RESUMED = {
+        1: {
+            "checkpoint.write": 2,
+            "construction.pass.start": 3,
+            "feasibility.checked": 1,
+            "pool.result": 6,
+            "preflight.components": 1,
+            "preflight.lint": 1,
+            "tabu.iteration": 16,
+        },
+        2: {
+            "checkpoint.write": 2,
+            "construction.pass.start": 1,
+            "feasibility.checked": 1,
+            "pool.result": 2,
+            "preflight.components": 1,
+            "preflight.lint": 1,
+        },
+    }
+
+    @staticmethod
+    def _portfolio_config(tmp_path, n_jobs):
+        return _config(
+            tmp_path, tabu_portfolio=3, n_jobs=n_jobs, certify="off"
+        )
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_checkpointed_portfolio_solve_visits(
+        self, tiny_census, constraints, tmp_path, n_jobs
+    ):
+        injector = FaultInjector()
+        with inject(injector):
+            solution = FaCT(self._portfolio_config(tmp_path, n_jobs)).solve(
+                tiny_census, constraints
+            )
+        assert solution.status is RunStatus.COMPLETE
+        assert dict(injector.visits) == self.FRESH[n_jobs]
+
+    @pytest.mark.parametrize("n_jobs", [1, 2])
+    def test_resumed_portfolio_solve_visits(
+        self, tiny_census, constraints, tmp_path, n_jobs
+    ):
+        config = self._portfolio_config(tmp_path, n_jobs)
+        with pytest.raises(InjectedFault):
+            with inject(FaultInjector().fail("checkpoint.write", on_visit=5)):
+                FaCT(config).solve(tiny_census, constraints)
+        injector = FaultInjector()
+        with inject(injector):
+            resumed = FaCT(config).solve(
+                tiny_census, constraints, resume_from=config.checkpoint_path
+            )
+        assert resumed.perf.checkpoint_replays == 4
+        assert dict(injector.visits) == self.RESUMED[n_jobs]

@@ -23,6 +23,7 @@ from repro.bench.runner import bench_config, bench_dataset
 from repro.bench.workloads import enriched_constraints
 from repro.fact import FaCTConfig, check_feasibility, construct
 from repro.fact.growing import grow_regions
+from repro.fact.pool import SolverPool
 from repro.fact.seeding import select_seeds
 from repro.fact.state import SolutionState
 
@@ -167,7 +168,8 @@ class TestPipelineParity:
     @pytest.mark.parametrize("n_jobs", [2, 4])
     def test_full_construction_invariant_to_jobs(self, n_jobs, constraints):
         # At the default dispatch: the pass-distribution machinery
-        # must not reorder decisions at any worker count.
+        # must not reorder decisions at any worker count (the pool
+        # sets the count; construct without one runs in-process).
         collection = bench_dataset("1k", scale=1.0)
         outcomes = set()
         for jobs in (1, n_jobs):
@@ -177,7 +179,15 @@ class TestPipelineParity:
                 n_jobs=jobs,
                 enable_tabu=False,
             )
-            partition = construct(collection, constraints, config).partition
+            feasibility = check_feasibility(collection, constraints, config)
+            with SolverPool(
+                collection, constraints, feasibility.invalid_areas, config,
+                max_workers=jobs,
+            ) as pool:
+                partition = construct(
+                    collection, constraints, config,
+                    feasibility=feasibility, pool=pool,
+                ).partition
             outcomes.add(
                 (partition.p, tuple(sorted(partition.labels().items())))
             )

@@ -101,56 +101,43 @@ class TestTraceSolve:
             trace.step("step2.2 enclaves").p
         )
 
-    def test_span_attrs_match_trace_snapshots(self, census):
-        """Drift regression: the per-step numbers ``trace_solve``
-        snapshots must equal the live telemetry span attributes of a
-        construction pass run with the same seed.
+    def test_trace_reads_the_solve_it_wraps(self, census):
+        """``trace_solve`` is a view of a real solve: its final p and H
+        are that solve's, and its Step-3 snapshot is that solve's
+        ``adjust`` span."""
+        from dataclasses import replace
 
-        Both paths share one RNG contract — ``trace_solve`` seeds
-        ``random.Random(config.rng_seed)`` and hands it to the very
-        step functions :func:`construction_pass_task` drives with
-        ``pass_seed`` — so grow/enclave/extrema/adjust must land on
-        identical partitions. If a refactor ever forks the two
-        pipelines, these exact-equality checks catch it.
-        """
-        from repro.fact.feasibility import check_feasibility
-        from repro.fact.pool import SolverPool, construction_pass_task
-        from repro.fact.seeding import select_seeds
-        from repro.obs import Tracer
+        from repro.fact import FaCT
+        from repro.obs import SolveTelemetry
 
         constraints = ConstraintSet(default_constraints())
-        config = FaCTConfig(rng_seed=5, enable_tabu=False)
+        config = FaCTConfig(rng_seed=5)
         trace = trace_solve(census, constraints, config)
 
-        report = check_feasibility(census, constraints, config)
-        seeding = select_seeds(census, constraints, report)
-        pool = SolverPool(
-            census, constraints, report.invalid_areas, config, max_workers=1
-        )
-        tracer = Tracer()
-        with tracer.span("solve"):
-            result = pool.run_local(
-                construction_pass_task,
-                seeding,
-                config.rng_seed,
+        telemetry = SolveTelemetry(verbosity=2)
+        solution = FaCT(
+            replace(
                 config,
-                None,
-                None,
-                tracer.context(),
-                0,
+                construction_iterations=1,
+                construction_retry_attempts=0,
+                tabu_portfolio=1,
             )
-        spans = {record["name"]: record for record in result[5]}
-        for span_name, step_name in (
-            ("grow", "step2.1 seeding"),
-            ("enclave", "step2.2 enclaves"),
-            ("extrema", "step2.3 extrema"),
-            ("adjust", "step3 adjustments"),
-        ):
-            snapshot = trace.step(step_name)
-            attrs = spans[span_name]["attrs"]
-            assert attrs["p"] == snapshot.p, span_name
-            assert attrs["n_unassigned"] == snapshot.n_unassigned, span_name
-            assert attrs["heterogeneity"] == snapshot.heterogeneity, span_name
+        ).solve(census, constraints, telemetry=telemetry)
+        assert trace.snapshots[-1].p == solution.p
+        assert trace.snapshots[-1].heterogeneity == solution.heterogeneity
+        assert trace.partition.labels() == solution.partition.labels()
+
+        (adjust,) = [
+            record["attrs"]
+            for record in telemetry.tracer.finished
+            if record["name"] == "adjust"
+        ]
+        step3 = trace.step("step3 adjustments")
+        assert (step3.p, step3.n_unassigned, step3.heterogeneity) == (
+            adjust["p"],
+            adjust["n_unassigned"],
+            adjust["heterogeneity"],
+        )
 
     def test_paper_default_narrative(self, census):
         """On the default query the trace shows the canonical arc:
