@@ -11,12 +11,11 @@ construction kernels (:mod:`repro.fact.growing`) evaluate with numpy:
   built once and cached weakly: CSR rook adjacency (``indptr`` /
   ``indices`` over dense positions, from
   :func:`repro.contiguity.graph.csr_adjacency`), the dissimilarity
-  vector, one float64 vector per attribute, and optional centroid
-  coordinates.
+  vector and one float64 vector per attribute.
 - :class:`ArrayState` — the **mutable** per-solution arrays: a flat
   int64 label vector (``-1`` unassigned, ``-2`` excluded) plus
-  per-region aggregate vectors (attribute sums, member counts,
-  coordinate sums), maintained by the same
+  per-region aggregate vectors (attribute sums, member counts),
+  maintained by the same
   ``Region.add_area``/``remove_area`` calls that update the scalar
   :class:`~repro.core.aggregates.AggregateState` — one hook site, so
   every float accumulates in the identical order and the mirror stays
@@ -76,8 +75,6 @@ class CollectionArrays:
         "indices",
         "dissimilarity",
         "attributes",
-        "coord_x",
-        "coord_y",
     )
 
     def __init__(self, collection: "AreaCollection"):
@@ -101,27 +98,6 @@ class CollectionArrays:
             )
             for name in sorted(collection.attribute_names)
         }
-        # Centroid coordinates exist only when every area carries a
-        # polygon (the compactness objective's requirement); synthetic
-        # census collections have none, so these stay None there.
-        coords: list[tuple[float, float]] = []
-        for area_id in ids:
-            polygon = collection.area(area_id).polygon
-            if polygon is None:
-                coords = []
-                break
-            centroid = polygon.centroid
-            coords.append((centroid.x, centroid.y))
-        if coords:
-            self.coord_x = np.asarray(
-                [xy[0] for xy in coords], dtype=np.float64
-            )
-            self.coord_y = np.asarray(
-                [xy[1] for xy in coords], dtype=np.float64
-            )
-        else:
-            self.coord_x = None
-            self.coord_y = None
 
     def __len__(self) -> int:
         return len(self.index)
@@ -176,8 +152,6 @@ class ArrayState:
         "labels",
         "region_count",
         "region_sums",
-        "region_coord_x",
-        "region_coord_y",
     )
 
     def __init__(
@@ -197,12 +171,6 @@ class ArrayState:
             name: np.zeros(capacity, dtype=np.float64)
             for name in self.tracked
         }
-        if arrays.coord_x is not None:
-            self.region_coord_x = np.zeros(capacity, dtype=np.float64)
-            self.region_coord_y = np.zeros(capacity, dtype=np.float64)
-        else:
-            self.region_coord_x = None
-            self.region_coord_y = None
 
     # ------------------------------------------------------------------
     @property
@@ -222,12 +190,6 @@ class ArrayState:
             grown = np.zeros(capacity, dtype=np.float64)
             grown[: len(sums)] = sums
             self.region_sums[name] = grown
-        if self.region_coord_x is not None:
-            for attr in ("region_coord_x", "region_coord_y"):
-                sums = getattr(self, attr)
-                grown = np.zeros(capacity, dtype=np.float64)
-                grown[: len(sums)] = sums
-                setattr(self, attr, grown)
 
     # ------------------------------------------------------------------
     # the Region mutation sink
@@ -243,9 +205,6 @@ class ArrayState:
             self.region_sums[name][region_id] += arrays.attributes[name][
                 position
             ]
-        if self.region_coord_x is not None:
-            self.region_coord_x[region_id] += arrays.coord_x[position]
-            self.region_coord_y[region_id] += arrays.coord_y[position]
 
     def on_clear(self, region_id: int, area_ids: Iterable[int]) -> None:
         """Mirror ``Region._clear``: what an :meth:`on_remove` of every
@@ -255,9 +214,6 @@ class ArrayState:
         self.region_count[region_id] = 0
         for sums in self.region_sums.values():
             sums[region_id] = 0.0
-        if self.region_coord_x is not None:
-            self.region_coord_x[region_id] = 0.0
-            self.region_coord_y[region_id] = 0.0
 
     def on_remove(self, region_id: int, area_id: int) -> None:
         """Mirror one ``Region.remove_area`` membership deletion."""
@@ -272,10 +228,3 @@ class ArrayState:
                 sums[region_id] = 0.0  # cancel drift, like AggregateState
             else:
                 sums[region_id] -= arrays.attributes[name][position]
-        if self.region_coord_x is not None:
-            if emptied:
-                self.region_coord_x[region_id] = 0.0
-                self.region_coord_y[region_id] = 0.0
-            else:
-                self.region_coord_x[region_id] -= arrays.coord_x[position]
-                self.region_coord_y[region_id] -= arrays.coord_y[position]

@@ -39,13 +39,16 @@ snapshot intact. Each write is announced at the ``checkpoint.write``
 fault checkpoint; an injected ``fail`` there simulates dying exactly
 at the snapshot boundary.
 
+A decomposed solve (``FaCTConfig.decompose_components``) prefixes
+component *i*'s keys with ``component/{i}/``.
+
 The file also carries a **fingerprint** of the problem (seed, phase
-shape, construction and Tabu knobs, objective, constraint strings,
-dataset size and a sha256 of the dataset's content). Resuming against
-a different problem raises :class:`repro.exceptions.CheckpointError`
-instead of silently splicing mismatched results, and the consumed
-wall-clock is stored so a resumed deadline run only gets the time the
-original had left.
+shape, construction and Tabu knobs, decomposition, objective with its
+weights, constraint strings, dataset size and a sha256 of the
+dataset's content). Resuming against a different problem raises
+:class:`repro.exceptions.CheckpointError` instead of silently splicing
+mismatched results, and the consumed wall-clock is stored so a resumed
+deadline run only gets the time the original had left.
 """
 
 from __future__ import annotations
@@ -59,6 +62,7 @@ from ..exceptions import CheckpointError
 from ..obs.telemetry import DISABLED
 from ..runtime import Budget, Interrupted
 from ..runtime.atomic import atomic_write_text
+from .objectives import WeightedObjective
 from .pool import UnitResult
 
 __all__ = ["SolveLedger"]
@@ -72,8 +76,8 @@ def _fingerprint(config, constraints, collection, objective=None) -> dict:
     Everything a recorded unit's result depends on (beyond its own
     coordinates): the seed scheme, the phase shape, the construction
     knobs that change its outcome, the Tabu tenure and stopping rules,
-    the objective Tabu minimizes (by class name; ``None`` is the
-    default heterogeneity objective) and the problem itself.
+    whether components are solved separately, the objective Tabu
+    minimizes (:func:`_objective_identity`) and the problem itself.
     Constraints compare by their canonical string forms, the data by
     :func:`_data_digest`.
     """
@@ -89,14 +93,28 @@ def _fingerprint(config, constraints, collection, objective=None) -> dict:
         "pickup": config.pickup,
         "strict_avg_feasibility": config.strict_avg_feasibility,
         "degenerate_unassigned_ratio": config.degenerate_unassigned_ratio,
-        "objective": (
-            "HeterogeneityObjective"
-            if objective is None
-            else type(objective).__name__
-        ),
+        "decompose_components": config.decompose_components,
+        "objective": _objective_identity(objective),
         "constraints": sorted(str(c) for c in constraints),
         "n_areas": len(collection),
         "data_sha256": _data_digest(collection),
+    }
+
+
+def _objective_identity(objective):
+    """The objective's class name (``None`` is the default
+    heterogeneity objective); a :class:`WeightedObjective` adds each
+    component's identity and weight, recursively."""
+    if objective is None:
+        return "HeterogeneityObjective"
+    if not isinstance(objective, WeightedObjective):
+        return type(objective).__name__
+    return {
+        "class": "WeightedObjective",
+        "components": [
+            [_objective_identity(component), float(weight)]
+            for component, weight in objective._components
+        ],
     }
 
 

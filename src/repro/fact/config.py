@@ -247,9 +247,8 @@ class FaCTConfig:
         The final certificate carries per-component provenance. Off
         by default (the classic solver already copes
         with multi-component datasets by growing regions inside
-        components); requires ``preflight``. Not compatible with
-        checkpoint/resume — when a ``checkpoint_path`` is set the
-        decomposed solve runs without snapshots.
+        components); requires ``preflight``. Checkpoints record each
+        component's units under ``component/{i}/``.
     """
 
     rng_seed: int = 0

@@ -113,6 +113,7 @@ def construct(
     ledger=None,
     runtime_perf=None,
     telemetry=None,
+    key_prefix: str = "",
 ) -> ConstructionResult:
     """Build a feasible initial partition maximizing ``p``.
 
@@ -128,9 +129,11 @@ def construct(
 
     *ledger* is an optional
     :class:`~repro.fact.checkpointing.SolveLedger`: completed passes
-    are recorded to it (keyed by *attempt_index* and pass index) and
-    previously recorded passes are replayed instead of recomputed —
-    the checkpoint/resume mechanism. *runtime_perf* collects the
+    are recorded to it (keyed ``{key_prefix}construction/{attempt}/
+    {pass}`` by *attempt_index* and pass index) and previously
+    recorded passes are replayed instead of recomputed — the
+    checkpoint/resume mechanism. A decomposed solve's components use
+    the *key_prefix* ``component/{i}/``. *runtime_perf* collects the
     pool's worker-fault counters.
 
     *telemetry* is an optional :class:`repro.obs.SolveTelemetry`: each
@@ -164,7 +167,7 @@ def construct(
         phase="construction",
         unit="index",
         context={"attempt": attempt_index},
-        key_prefix=f"construction/{attempt_index}/",
+        key_prefix=f"{key_prefix}construction/{attempt_index}/",
         start_checkpoint="construction.pass.start",
         budget=budget,
         ledger=ledger,

@@ -55,6 +55,7 @@ def improve_portfolio(
     ledger=None,
     runtime_perf=None,
     telemetry=None,
+    key_prefix: str = "",
 ) -> TabuResult:
     """Run a ``config.tabu_portfolio``-member Tabu portfolio.
 
@@ -76,8 +77,8 @@ def improve_portfolio(
 
     *ledger* (a :class:`~repro.fact.checkpointing.SolveLedger`)
     replays members recorded by an earlier killed run and records
-    freshly completed ones; *runtime_perf* collects the pool's
-    worker-fault counters.
+    freshly completed ones, keyed ``{key_prefix}tabu/{member}``;
+    *runtime_perf* collects the pool's worker-fault counters.
 
     *telemetry* is an optional :class:`repro.obs.SolveTelemetry`: the
     whole phase becomes one ``tabu`` span with a ``member`` span per
@@ -122,7 +123,7 @@ def improve_portfolio(
             specs,
             phase="tabu",
             unit="member",
-            key_prefix="tabu/",
+            key_prefix=f"{key_prefix}tabu/",
             budget=(budget or Budget.unlimited()).start(),
             ledger=ledger,
             perf=runtime_perf,

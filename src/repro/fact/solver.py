@@ -36,7 +36,7 @@ recorded in :attr:`EMPSolution.attempts`.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from ..certify import Certificate, certify_partition
 from ..core.area import AreaCollection
@@ -150,6 +150,8 @@ class EMPSolution:
     tabu:
         Phase-3 diagnostics, or ``None`` when the local search was
         disabled (or never started because the budget ran out first).
+        A decomposed solve sums its components' searches over the
+        merged partition (see ``FaCT._solve_components``).
     status:
         ``RunStatus.COMPLETE`` for a full run; ``DEADLINE_EXCEEDED`` or
         ``CANCELLED`` when the run was interrupted and this solution is
@@ -433,7 +435,6 @@ class FaCT:
                 deadline = max(deadline - ledger.consumed_seconds, 1e-3)
             budget = Budget(deadline_seconds=deadline)
         budget.start()
-        certify_level = config.certify_level()
 
         tracer = telemetry.tracer
         with tracer.span(
@@ -495,84 +496,31 @@ class FaCT:
                 and preflight is not None
                 and preflight.n_components > 1
             ):
-                if ledger is not None:
-                    # The ledger's pass/member fingerprint scheme has
-                    # no slot for per-component work units; decomposed
-                    # solves run without snapshots.
-                    telemetry.event("decompose.checkpointing_disabled")
-                    ledger = None
-                tabu: TabuResult | None = None
-                construction, attempts, provenance = self._solve_components(
-                    collection, constraints, feasibility, preflight,
-                    budget, runtime_perf, telemetry,
-                )
-                partition = construction.partition
-                telemetry.snapshot_metrics("construction")
-                telemetry.progress("construction", 1, 1, force=True)
-            else:
-                # One pool runs every work unit of this solve — all
-                # construction passes of all retry attempts, then the
-                # Tabu portfolio members: in-process at n_jobs == 1,
-                # else on worker processes that receive the dataset
-                # once, at pool initialization.
-                with SolverPool(
-                    collection,
-                    constraints,
-                    feasibility.invalid_areas,
-                    config,
-                    max_workers=config.n_jobs,
-                ) as pool:
-                    construction, attempts = self._construct_with_retries(
-                        collection, constraints, feasibility, budget, pool,
-                        ledger, runtime_perf, telemetry,
+                construction, attempts, tabu, provenance = (
+                    self._solve_components(
+                        collection, constraints, feasibility, preflight,
+                        budget, ledger, runtime_perf, telemetry,
                     )
-                    if certify_level == CertifyLevel.PARANOID:
-                        self._certify(
-                            construction.partition,
-                            collection,
-                            constraints,
-                            budget,
-                            claimed=construction.state.total_heterogeneity(),
-                            label="construction",
-                            runtime_perf=runtime_perf,
-                            telemetry=telemetry,
-                        )
-                    if telemetry.enabled:
-                        telemetry.metrics.absorb_perf(
-                            _merged_perf(construction.state.perf, runtime_perf)
-                        )
-                    telemetry.snapshot_metrics("construction")
-                    telemetry.progress("construction", 1, 1, force=True)
-
-                    tabu = None
-                    partition = construction.partition
-                    if (
-                        config.enable_tabu
-                        and construction.state.p > 0
-                        and budget.status() is None
-                    ):
-                        tabu = improve_portfolio(
-                            construction.state,
-                            config,
-                            objective=self.objective,
-                            budget=budget,
-                            pool=pool,
-                            ranked_labels=construction.ranked_labels,
-                            ledger=ledger,
-                            runtime_perf=runtime_perf,
-                            telemetry=telemetry,
-                        )
-                        partition = tabu.partition
-
-            if telemetry.enabled:
-                telemetry.metrics.absorb_perf(
-                    _merged_perf(construction.state.perf, runtime_perf)
                 )
-            telemetry.snapshot_metrics("tabu")
-            telemetry.progress("tabu", 1, 1, force=True)
+                _phase_marker(
+                    telemetry, "construction",
+                    construction.state.perf, runtime_perf,
+                )
+            else:
+                construction, attempts, tabu = self._solve_problem(
+                    collection, constraints, feasibility, budget, ledger,
+                    runtime_perf, telemetry,
+                )
+            partition = (
+                tabu.partition if tabu is not None else construction.partition
+            )
+
+            _phase_marker(
+                telemetry, "tabu", construction.state.perf, runtime_perf
+            )
 
             certificate = None
-            if certify_level != CertifyLevel.OFF:
+            if config.certify_level() != CertifyLevel.OFF:
                 # Tabu's score is H(P) only under the default objective;
                 # a custom objective's score is not comparable to the
                 # fresh heterogeneity recomputation.
@@ -698,6 +646,83 @@ class FaCT:
         return certificate
 
     # ------------------------------------------------------------------
+    # one (sub)problem: construct -> certify -> Tabu
+    # ------------------------------------------------------------------
+    def _solve_problem(
+        self,
+        collection: AreaCollection,
+        constraints: ConstraintSet,
+        feasibility: FeasibilityReport,
+        budget: Budget,
+        ledger: SolveLedger | None,
+        runtime_perf: PerfCounters,
+        telemetry,
+        key_prefix: str = "",
+    ) -> tuple[
+        ConstructionResult,
+        tuple[ConstructionAttempt, ...],
+        TabuResult | None,
+    ]:
+        """Construct (with retries), certify the construction under
+        ``certify="paranoid"``, then run the Tabu portfolio — for the
+        whole dataset or one component of a decomposed solve.
+
+        One pool, sized ``config.n_jobs``, runs every work unit. Ledger
+        units are keyed under *key_prefix*: ``""`` for a whole solve,
+        which also emits the construction phase marker before Tabu
+        (a decomposed solve emits it once, after the merge), and
+        ``component/{i}/`` for a component. The Tabu result is ``None``
+        when Tabu is off, found no region or ran out of budget.
+        """
+        config = self.config
+        with SolverPool(
+            collection,
+            constraints,
+            feasibility.invalid_areas,
+            config,
+            max_workers=config.n_jobs,
+        ) as pool:
+            construction, attempts = self._construct_with_retries(
+                collection, constraints, feasibility, budget, pool,
+                ledger, runtime_perf, telemetry, key_prefix,
+            )
+            if config.certify_level() == CertifyLevel.PARANOID:
+                self._certify(
+                    construction.partition,
+                    collection,
+                    constraints,
+                    budget,
+                    claimed=construction.state.total_heterogeneity(),
+                    label="construction",
+                    runtime_perf=runtime_perf,
+                    telemetry=telemetry,
+                )
+            if not key_prefix:
+                _phase_marker(
+                    telemetry, "construction",
+                    construction.state.perf, runtime_perf,
+                )
+            tabu = None
+            if (
+                config.enable_tabu
+                and construction.state.p > 0
+                and budget.status() is None
+            ):
+                tabu = improve_portfolio(
+                    construction.state,
+                    config,
+                    objective=self.objective,
+                    budget=budget,
+                    pool=pool,
+                    ranked_labels=construction.ranked_labels,
+                    ledger=ledger,
+                    runtime_perf=runtime_perf,
+                    telemetry=telemetry,
+                    key_prefix=key_prefix,
+                )
+        return construction, attempts, tabu
+
+    # ------------------------------------------------------------------
     # construction retry policy
     # ------------------------------------------------------------------
     def _construct_with_retries(
@@ -710,6 +735,7 @@ class FaCT:
         ledger: SolveLedger | None = None,
         runtime_perf: PerfCounters | None = None,
         telemetry=DISABLED,
+        key_prefix: str = "",
     ) -> tuple[ConstructionResult, tuple[ConstructionAttempt, ...]]:
         """Run construction, retrying degenerate outcomes with derived
         seeds up to ``config.construction_retry_attempts`` times.
@@ -750,6 +776,7 @@ class FaCT:
                         ledger=ledger,
                         runtime_perf=runtime_perf,
                         telemetry=telemetry,
+                        key_prefix=key_prefix,
                     )
                     degenerate = _is_degenerate(construction, n_valid, config)
                     if attempt_span.recording:
@@ -788,122 +815,92 @@ class FaCT:
         feasibility: FeasibilityReport,
         preflight: PreflightReport,
         budget: Budget,
+        ledger: SolveLedger | None,
         runtime_perf: PerfCounters,
         telemetry,
     ) -> tuple[
         ConstructionResult,
         tuple[ConstructionAttempt, ...],
+        TabuResult | None,
         tuple[ComponentProvenance, ...],
     ]:
-        """Solve each connected component independently, then merge.
+        """Solve each connected component as its own problem, then merge.
 
         Components are visited in the preflight report's canonical
-        order (ascending smallest member id), each with the same
-        ``rng_seed`` and the shared run budget. A component whose own
-        Phase-1 scan proves infeasible is *skipped*, not fatal: its
-        areas stay unassigned and the skip is recorded in the
-        provenance. The merged labels are rebuilt through the
+        order (ascending smallest member id), each through
+        :meth:`_solve_problem` with the same ``rng_seed``, the shared
+        budget and ledger keys prefixed ``component/{i}/``. A component
+        whose own Phase-1 scan proves infeasible is *skipped*, not
+        fatal: its areas stay unassigned and the skip is recorded in
+        the provenance. The merged labels are rebuilt through the
         canonical :meth:`SolutionState.from_labels` — regions
         renumbered by smallest member id, areas inserted ascending —
-        so the merged partition is bit-identical at any ``n_jobs``,
-        exactly like single-component solves.
+        so the merged partition is bit-identical at any ``n_jobs``.
+
+        The merged construction times construction only. The merged
+        Tabu result (``None`` when no component ran Tabu) goes from the
+        components' summed construction ``H`` to the merged ``H``,
+        sums iterations, moves and time, and carries the first
+        interruption a component saw.
         """
         config = self.config
-        tracer = telemetry.tracer
         merged_labels: dict[int, int] = {}
-        attempts_all: list[ConstructionAttempt] = []
-        interim: list[dict] = []
-        iterations = 0
+        solved: list[tuple] = []  # (construction, attempts, tabu)
+        interim: list[tuple] = []  # (index, members, status, H, seconds)
+        heterogeneity_before = 0.0
         offset = 0
-        started = time.perf_counter()
         for index, members in enumerate(preflight.components):
             component_started = time.perf_counter()
-            with tracer.span(
+            with telemetry.tracer.span(
                 "component", index=index, n_areas=len(members)
             ) as component_span:
                 sub = collection.subset(members)
                 sub_feasibility = check_feasibility(
                     sub, constraints, config, budget=budget
                 )
-                if not sub_feasibility.feasible:
-                    for area_id in members:
-                        merged_labels[area_id] = -1
-                    interim.append(
-                        {
-                            "index": index,
-                            "members": members,
-                            "status": "infeasible",
-                            "heterogeneity": 0.0,
-                            "seconds": time.perf_counter()
-                            - component_started,
-                        }
-                    )
-                    if component_span.recording:
-                        component_span.set(p=0, status="infeasible")
-                    continue
-                with SolverPool(
-                    sub,
-                    constraints,
-                    sub_feasibility.invalid_areas,
-                    config,
-                    max_workers=config.n_jobs,
-                ) as pool:
-                    construction, attempts = self._construct_with_retries(
-                        sub, constraints, sub_feasibility, budget, pool,
-                        None, runtime_perf, telemetry,
-                    )
-                    tabu = None
-                    component_partition = construction.partition
-                    if (
-                        config.enable_tabu
-                        and construction.state.p > 0
-                        and budget.status() is None
-                    ):
-                        tabu = improve_portfolio(
-                            construction.state,
-                            config,
-                            objective=self.objective,
-                            budget=budget,
-                            pool=pool,
-                            ranked_labels=construction.ranked_labels,
-                            ledger=None,
-                            runtime_perf=runtime_perf,
-                            telemetry=telemetry,
+                if sub_feasibility.feasible:
+                    solved.append(
+                        self._solve_problem(
+                            sub, constraints, sub_feasibility, budget,
+                            ledger, runtime_perf, telemetry,
+                            key_prefix=f"component/{index}/",
                         )
-                        component_partition = tabu.partition
-                attempts_all.extend(attempts)
-                iterations += construction.iterations
-                runtime_perf.merge(construction.state.perf)
+                    )
+                    construction, _, tabu = solved[-1]
+                    runtime_perf.merge(construction.state.perf)
+                    result = tabu if tabu is not None else construction
+                    labels, p = result.partition.labels(), result.partition.p
+                    status = budget.status()
+                    status = "complete" if status is None else status.value
+                    # Tabu searches construction.state in place, so
+                    # its construction H is the search's starting score.
+                    if tabu is not None:
+                        before = tabu.heterogeneity_before
+                        heterogeneity = tabu.heterogeneity_after
+                    else:
+                        before = heterogeneity = (
+                            construction.state.total_heterogeneity()
+                        )
+                    heterogeneity_before += before
+                else:
+                    labels, p = {}, 0
+                    status, heterogeneity = "infeasible", 0.0
                 # Offsets only need uniqueness across components; the
                 # canonical rebuild below renumbers everything.
-                for area_id, label in component_partition.labels().items():
+                for area_id in members:
+                    label = labels.get(area_id, -1)
                     merged_labels[area_id] = (
                         offset + label if label >= 0 else -1
                     )
-                offset += component_partition.p
-                component_status = budget.status()
+                offset += p
                 interim.append(
-                    {
-                        "index": index,
-                        "members": members,
-                        "status": (
-                            component_status.value
-                            if component_status is not None
-                            else "complete"
-                        ),
-                        "heterogeneity": (
-                            tabu.heterogeneity_after
-                            if tabu is not None
-                            else construction.state.total_heterogeneity()
-                        ),
-                        "seconds": time.perf_counter() - component_started,
-                    }
+                    (
+                        index, members, status, heterogeneity,
+                        time.perf_counter() - component_started,
+                    )
                 )
                 if component_span.recording:
-                    component_span.set(
-                        p=component_partition.p,
-                        status=interim[-1]["status"],
-                    )
+                    component_span.set(p=p, status=status)
 
         merged_state = SolutionState.from_labels(
             collection,
@@ -914,57 +911,77 @@ class FaCT:
         merged_partition = merged_state.to_partition()
         final_labels = merged_partition.labels()
         provenance = []
-        for entry in interim:
-            members = entry["members"]
-            regions = tuple(
-                sorted(
-                    {
-                        final_labels[area_id]
-                        for area_id in members
-                        if final_labels.get(area_id, -1) >= 0
-                    }
-                )
-            )
+        for index, members, status, heterogeneity, seconds in interim:
+            assigned = [
+                final_labels[area_id]
+                for area_id in members
+                if final_labels.get(area_id, -1) >= 0
+            ]
+            regions = tuple(sorted(set(assigned)))
             provenance.append(
                 ComponentProvenance(
-                    index=entry["index"],
+                    index=index,
                     n_areas=len(members),
                     p=len(regions),
-                    n_unassigned=len(members) - sum(
-                        1
-                        for area_id in members
-                        if final_labels.get(area_id, -1) >= 0
-                    ),
+                    n_unassigned=len(members) - len(assigned),
                     regions=regions,
-                    status=entry["status"],
-                    heterogeneity=entry["heterogeneity"],
-                    seconds=round(entry["seconds"], 4),
+                    status=status,
+                    heterogeneity=heterogeneity,
+                    seconds=round(seconds, 4),
                 )
             )
+        constructions = [construction for construction, _, _ in solved]
         merged = ConstructionResult(
             state=merged_state,
             partition=merged_partition,
             feasibility=feasibility,
             seeding=select_seeds(collection, constraints, feasibility),
-            iterations=iterations,
-            elapsed_seconds=time.perf_counter() - started,
+            iterations=sum(c.iterations for c in constructions),
+            elapsed_seconds=sum(c.elapsed_seconds for c in constructions),
             status=budget.status() or RunStatus.COMPLETE,
         )
+        tabus = [tabu for _, _, tabu in solved if tabu is not None]
+        merged_tabu = None
+        if tabus:
+            merged_tabu = TabuResult(
+                partition=merged_partition,
+                heterogeneity_before=heterogeneity_before,
+                heterogeneity_after=merged_state.total_heterogeneity(),
+                iterations=sum(tabu.iterations for tabu in tabus),
+                moves_applied=sum(tabu.moves_applied for tabu in tabus),
+                elapsed_seconds=sum(tabu.elapsed_seconds for tabu in tabus),
+                status=next(
+                    (
+                        tabu.status
+                        for tabu in tabus
+                        if tabu.status is not RunStatus.COMPLETE
+                    ),
+                    RunStatus.COMPLETE,
+                ),
+            )
         telemetry.event(
             "decompose.merged",
             n_components=len(preflight.components),
             p=merged_partition.p,
         )
-        return merged, tuple(attempts_all), tuple(provenance)
+        attempts = tuple(
+            attempt for _, attempts, _ in solved for attempt in attempts
+        )
+        return merged, attempts, merged_tabu, tuple(provenance)
 
 
-def _merged_perf(*counters: PerfCounters) -> PerfCounters:
-    """A fresh PerfCounters holding the sum of *counters* (the inputs
-    are left untouched — they keep accumulating across phases)."""
-    merged = PerfCounters()
-    for item in counters:
-        merged.merge(item)
-    return merged
+def _phase_marker(telemetry, phase: str, *perf: PerfCounters) -> None:
+    """Close *phase* for observers: fold the sum of *perf* into the
+    metrics (into a fresh struct — the inputs keep accumulating),
+    snapshot them, and force a ``progress`` event (the service's ETA
+    reads the construction one)."""
+    if telemetry.enabled:
+        merged = PerfCounters()
+        for counters in perf:
+            merged.merge(counters)
+        telemetry.metrics.absorb_perf(merged)
+    telemetry.snapshot_metrics(phase)
+    telemetry.progress(phase, 1, 1, force=True)
 
 
 def _is_degenerate(

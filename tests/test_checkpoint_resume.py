@@ -2,19 +2,21 @@
 resume from the checkpoint file, and demand a partition bit-identical
 to an uninterrupted run with the same seed — at any worker count.
 
-Also covers the SolveLedger's refusal modes (missing file, garbage,
-foreign fingerprint) and the atomic-write primitive everything rests
-on.
+Also covers decomposed (per-component) solves, the SolveLedger's
+refusal modes (missing file, garbage, foreign fingerprint) and the
+atomic-write primitive everything rests on.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
 
 import pytest
 
-from repro.core import Area, AreaCollection, ConstraintSet
+from repro.core import Area, AreaCollection, ConstraintSet, sum_constraint
+from repro.data import schema, synthetic_census
 from repro.data.schema import default_constraints
 from repro.exceptions import CheckpointError
 from repro.fact import FaCT, FaCTConfig, SolveLedger
@@ -36,6 +38,15 @@ def _config(tmp_path, **overrides) -> FaCTConfig:
     )
     options.update(overrides)
     return FaCTConfig(**options)
+
+
+def _islands():
+    """A 60-tract census split into 3 connected components, with a
+    bound every component can meet."""
+    return (
+        synthetic_census(60, seed=8, patches=3),
+        ConstraintSet([sum_constraint(schema.TOTALPOP, lower=15000)]),
+    )
 
 
 class TestAtomicWrite:
@@ -144,6 +155,59 @@ class TestLedgerRefusals:
                 tiny_census, constraints,
                 resume_from=config.checkpoint_path,
             )
+
+    @pytest.mark.parametrize(
+        "recorded, resumed", [(True, False), (False, True)]
+    )
+    def test_toggled_decompose_refuses_resume(
+        self, tmp_path, recorded, resumed
+    ):
+        # Component units and whole-solve units live under different
+        # keys and come from different subproblems: neither may be
+        # replayed into the other kind of solve.
+        collection, islands = _islands()
+        config = _config(
+            tmp_path,
+            decompose_components=recorded,
+            checkpoint_keep_on_complete=True,
+        )
+        FaCT(config).solve(collection, islands)
+        assert os.path.exists(config.checkpoint_path)
+        with pytest.raises(CheckpointError, match="decompose_components"):
+            FaCT(_config(tmp_path, decompose_components=resumed)).solve(
+                collection, islands, resume_from=config.checkpoint_path
+            )
+
+    def test_changed_objective_weight_refuses_resume(
+        self, tiny_census, constraints, tmp_path
+    ):
+        # The weights steer every Tabu move; units recorded under one
+        # weighting would return that weighting's partition.
+        from repro.fact.objectives import (
+            HeterogeneityObjective,
+            WeightedObjective,
+        )
+
+        def weighted(weight):
+            return WeightedObjective([(HeterogeneityObjective(), weight)])
+
+        config = _config(
+            tmp_path, tabu_portfolio=2, checkpoint_keep_on_complete=True
+        )
+        reference = FaCT(config, objective=weighted(1.0)).solve(
+            tiny_census, constraints
+        )
+        with pytest.raises(CheckpointError, match="objective"):
+            FaCT(config, objective=weighted(2.0)).solve(
+                tiny_census, constraints,
+                resume_from=config.checkpoint_path,
+            )
+        # The same weighting still resumes, replaying every unit.
+        resumed = FaCT(config, objective=weighted(1.0)).solve(
+            tiny_census, constraints, resume_from=config.checkpoint_path
+        )
+        assert resumed.perf.checkpoint_replays == 5
+        assert resumed.partition.labels() == reference.partition.labels()
 
 
 def _rebuilt(collection, attributes=None, extra_edge=None):
@@ -448,3 +512,80 @@ class TestFaultCheckpointVisits:
             )
         assert resumed.perf.checkpoint_replays == 4
         assert dict(injector.visits) == self.RESUMED[n_jobs]
+
+
+class TestDecomposedResume:
+    """A decomposed solve records each component's units under
+    ``component/{i}/`` and resumes from them bit-identically, like a
+    whole solve, at any worker count."""
+
+    # 3 components x (3 construction passes + 2 portfolio members).
+    UNITS = 15
+    KEY = re.compile(r"component/[0-2]/(construction/0/[0-2]|tabu/[01])")
+
+    @staticmethod
+    def _decomposed(tmp_path, n_jobs, **overrides):
+        return _config(
+            tmp_path,
+            rng_seed=11,
+            n_jobs=n_jobs,
+            decompose_components=True,
+            tabu_portfolio=2,
+            **overrides,
+        )
+
+    @pytest.fixture(scope="class")
+    def reference(self):
+        collection, islands = _islands()
+        config = FaCTConfig(
+            rng_seed=11, decompose_components=True, tabu_portfolio=2
+        )
+        return FaCT(config).solve(collection, islands)
+
+    def test_decomposed_solve_writes_component_units(
+        self, tmp_path, reference
+    ):
+        collection, islands = _islands()
+        config = self._decomposed(
+            tmp_path, 1, checkpoint_keep_on_complete=True
+        )
+        solution = FaCT(config).solve(collection, islands)
+        assert solution.perf.checkpoint_writes == self.UNITS
+        with open(config.checkpoint_path) as handle:
+            units = json.load(handle)["units"]
+        assert len(units) == self.UNITS
+        assert all(self.KEY.fullmatch(key) for key in units)
+        assert solution.partition.labels() == reference.partition.labels()
+
+    # The checkpoint.write fault fires before the write, so visit k
+    # kills a run whose file holds k-1 units: 3 falls in component 0's
+    # construction, 10 in component 1's portfolio, 13 in component 2's
+    # construction.
+    @pytest.mark.parametrize("kill_at_visit", [3, 10, 13])
+    @pytest.mark.parametrize(
+        "killed_jobs, resumed_jobs", [(1, 1), (2, 2), (1, 2), (2, 1)]
+    )
+    def test_killed_decomposed_solve_resumes_bit_identically(
+        self, tmp_path, reference, kill_at_visit, killed_jobs, resumed_jobs
+    ):
+        collection, islands = _islands()
+        config = self._decomposed(tmp_path, killed_jobs)
+        injector = FaultInjector().fail(
+            "checkpoint.write", on_visit=kill_at_visit
+        )
+        with pytest.raises(InjectedFault):
+            with inject(injector):
+                FaCT(config).solve(collection, islands)
+        with open(config.checkpoint_path) as handle:
+            units = json.load(handle)["units"]
+        assert len(units) == kill_at_visit - 1
+        assert all(self.KEY.fullmatch(key) for key in units)
+
+        resumed = FaCT(self._decomposed(tmp_path, resumed_jobs)).solve(
+            collection, islands, resume_from=config.checkpoint_path
+        )
+        assert resumed.status is RunStatus.COMPLETE
+        assert resumed.partition.labels() == reference.partition.labels()
+        assert repr(resumed.heterogeneity) == repr(reference.heterogeneity)
+        assert resumed.perf.checkpoint_replays == kill_at_visit - 1
+        assert not os.path.exists(config.checkpoint_path)

@@ -385,3 +385,66 @@ class TestSolverIntegration:
                 )
             )
         assert outcomes[0] == outcomes[1]
+
+    def test_decomposed_summary_reports_tabu(self):
+        # Each island runs the whole solve's construct -> Tabu path, so
+        # the solution reports the local search over the merged
+        # partition, and construction time excludes Tabu time.
+        collection = island_collection()
+        constraints = island_constraints()
+        solution = FaCT(
+            FaCTConfig(rng_seed=5, decompose_components=True)
+        ).solve(collection, constraints)
+        summary = solution.summary()
+        assert solution.tabu is not None
+        assert summary["improvement"] > 0
+        assert summary["tabu_seconds"] > 0
+        assert solution.tabu.partition == solution.partition
+        # Tabu starts from the components' construction H: the merged
+        # H of the same solve with Tabu off.
+        config = FaCTConfig(
+            rng_seed=5, decompose_components=True, enable_tabu=False
+        )
+        constructed = FaCT(config).solve(collection, constraints)
+        assert solution.heterogeneity_before == pytest.approx(
+            constructed.heterogeneity
+        )
+        assert solution.heterogeneity < solution.heterogeneity_before
+        # Each component's seconds cover its construction and its Tabu
+        # once; construction time that also held Tabu time would count
+        # the Tabu time twice.
+        component_seconds = sum(
+            entry.seconds for entry in solution.provenance
+        )
+        assert (
+            solution.construction_seconds + solution.tabu_seconds
+            <= component_seconds + 1e-3
+        )
+
+    @pytest.mark.parametrize(
+        "lower, n_constructed",
+        # 75,000 lies between the two smallest islands' TOTALPOP, so
+        # the smallest island is infeasible and never constructs.
+        [(15000, 3), (75000, 2)],
+    )
+    def test_paranoid_decomposed_certifies_each_construction(
+        self, lower, n_constructed
+    ):
+        collection = island_collection()
+        constraints = ConstraintSet(
+            [sum_constraint(schema.TOTALPOP, lower=lower)]
+        )
+        solution = FaCT(
+            FaCTConfig(
+                rng_seed=5, decompose_components=True, certify="paranoid"
+            )
+        ).solve(collection, constraints)
+        constructed = [
+            entry
+            for entry in solution.provenance
+            if entry.status != "infeasible"
+        ]
+        assert len(constructed) == n_constructed
+        # One construction certificate per constructed component, plus
+        # the final one.
+        assert solution.perf.certifications == n_constructed + 1
