@@ -509,12 +509,23 @@ class BlockCutIndex:
                 return False
         return True
 
-    def remove_vertex(self, vertex: int, neighbors: NeighborFn) -> bool:
+    def remove_vertex(
+        self,
+        vertex: int,
+        neighbors: NeighborFn,
+        adjacency: dict[int, list[int]] | None = None,
+    ) -> bool:
         """Apply "vertex left". Only non-articulation vertices can be
         removed incrementally (anything else splits the graph); the
         localized re-split runs over the vertex's single block only.
         *neighbors* is the collection-level neighbor function used by
-        that re-split (filtered to the block internally)."""
+        that re-split (filtered to the block internally).
+
+        *adjacency*, when given, must be the induced adjacency of the
+        whole vertex set right after this removal (node → in-set
+        neighbor list). A member of the block that is no cut vertex
+        has all its neighbors inside the block, so its row is taken as
+        is; only the block's cut vertices are filtered."""
         vertex_blocks = self.vertex_blocks
         bids = vertex_blocks.get(vertex)
         if bids is None or vertex in self.articulation or len(bids) != 1:
@@ -547,14 +558,26 @@ class BlockCutIndex:
             return True
         # |block| >= 3: biconnected minus one vertex stays connected,
         # but may shatter into smaller blocks — one localized DFS.
-        local = set(members)
-        local.discard(vertex)
-        components, _, new_blocks = block_cut_state(local, neighbors)
+        members.discard(vertex)
+        local = members
+        rows = None
+        if adjacency is not None:
+            if len(local) == len(adjacency):
+                rows = adjacency  # the block is the whole vertex set
+            else:
+                rows = {member: adjacency[member] for member in local}
+                for cut in self._block_cuts[bid]:
+                    rows[cut] = [n for n in adjacency[cut] if n in local]
+        components, _, new_blocks = block_cut_state(local, neighbors, rows)
         if len(components) != 1:
             return False  # impossible for a true biconnected block
+        del vertex_blocks[vertex]
+        if len(new_blocks) == 1:
+            # Still biconnected: no member changes its blocks, so the
+            # articulation set and the cut mirror stand.
+            return True
         del self.blocks[bid]
         del self._block_cuts[bid]
-        del vertex_blocks[vertex]
         for member in local:
             vertex_blocks[member].discard(bid)
         for block_members in new_blocks:

@@ -12,14 +12,12 @@ construction kernels (:mod:`repro.fact.growing`) evaluate with numpy:
   ``indices`` over dense positions, from
   :func:`repro.contiguity.graph.csr_adjacency`), the dissimilarity
   vector and one float64 vector per attribute.
-- :class:`ArrayState` — the **mutable** per-solution arrays: a flat
-  int64 label vector (``-1`` unassigned, ``-2`` excluded) plus
-  per-region aggregate vectors (attribute sums, member counts),
-  maintained by the same
-  ``Region.add_area``/``remove_area`` calls that update the scalar
-  :class:`~repro.core.aggregates.AggregateState` — one hook site, so
-  every float accumulates in the identical order and the mirror stays
-  **bit-identical** to the object graph.
+- :class:`ArrayState` — the **mutable** per-solution array: a flat
+  int64 label vector (``-1`` unassigned, ``-2`` excluded), maintained
+  by the same ``Region.add_area``/``remove_area`` calls that update
+  the region's membership — one hook site, so the vector always
+  matches the object graph. Per-region aggregates are read off the
+  regions' scalar :class:`~repro.core.aggregates.AggregateState`.
 
 Every :class:`~repro.fact.state.SolutionState` builds the mirror. The
 kernels that read it dispatch on input size against their scalar
@@ -132,99 +130,39 @@ class ArrayState:
 
     ``labels[pos]`` is the region id of the area at dense position
     *pos* (:data:`UNASSIGNED` / :data:`EXCLUDED` otherwise).
-    ``region_count[rid]`` and ``region_sums[attr][rid]`` mirror each
-    region's member count and per-attribute sum; rows are indexed by
-    raw region id (capacity grows geometrically — solver region ids
-    increase monotonically) and zeroed when a region empties, exactly
-    like :class:`AggregateState`'s drift reset.
 
     The mirror is written from a single hook site —
     ``Region.add_area``/``remove_area`` call :meth:`on_add` /
-    :meth:`on_remove` right where the scalar aggregates update — so
-    every float accumulation happens in the identical order and the
-    vectors stay bit-identical to the object graph under any mutation
-    sequence (assign, move, merge, dissolve).
+    :meth:`on_remove` right where the membership changes — so the
+    vector matches the object graph under any mutation sequence
+    (assign, move, merge, dissolve).
     """
 
-    __slots__ = (
-        "arrays",
-        "tracked",
-        "labels",
-        "region_count",
-        "region_sums",
-    )
+    __slots__ = ("arrays", "labels")
 
     def __init__(
         self,
         arrays: CollectionArrays,
-        tracked: Iterable[str] = (),
         excluded: Iterable[int] = (),
     ):
         self.arrays = arrays
-        self.tracked = tuple(tracked)
         self.labels = np.full(len(arrays), UNASSIGNED, dtype=np.int64)
         for area_id in excluded:
             self.labels[arrays.index[area_id]] = EXCLUDED
-        capacity = 16
-        self.region_count = np.zeros(capacity, dtype=np.int64)
-        self.region_sums = {
-            name: np.zeros(capacity, dtype=np.float64)
-            for name in self.tracked
-        }
-
-    # ------------------------------------------------------------------
-    @property
-    def capacity(self) -> int:
-        return len(self.region_count)
-
-    def _ensure_capacity(self, region_id: int) -> None:
-        capacity = len(self.region_count)
-        if region_id < capacity:
-            return
-        while capacity <= region_id:
-            capacity *= 2
-        grown = np.zeros(capacity, dtype=np.int64)
-        grown[: len(self.region_count)] = self.region_count
-        self.region_count = grown
-        for name, sums in self.region_sums.items():
-            grown = np.zeros(capacity, dtype=np.float64)
-            grown[: len(sums)] = sums
-            self.region_sums[name] = grown
 
     # ------------------------------------------------------------------
     # the Region mutation sink
     # ------------------------------------------------------------------
     def on_add(self, region_id: int, area_id: int) -> None:
         """Mirror one ``Region.add_area`` membership insertion."""
-        arrays = self.arrays
-        position = arrays.index[area_id]
-        self.labels[position] = region_id
-        self._ensure_capacity(region_id)
-        self.region_count[region_id] += 1
-        for name in self.tracked:
-            self.region_sums[name][region_id] += arrays.attributes[name][
-                position
-            ]
+        self.labels[self.arrays.index[area_id]] = region_id
 
     def on_clear(self, region_id: int, area_ids: Iterable[int]) -> None:
         """Mirror ``Region._clear``: what an :meth:`on_remove` of every
-        member leaves behind (labels unassigned, the row zeroed)."""
+        member leaves behind."""
         index = self.arrays.index
         self.labels[[index[area_id] for area_id in area_ids]] = UNASSIGNED
-        self.region_count[region_id] = 0
-        for sums in self.region_sums.values():
-            sums[region_id] = 0.0
 
     def on_remove(self, region_id: int, area_id: int) -> None:
         """Mirror one ``Region.remove_area`` membership deletion."""
-        arrays = self.arrays
-        position = arrays.index[area_id]
-        self.labels[position] = UNASSIGNED
-        self.region_count[region_id] -= 1
-        emptied = self.region_count[region_id] == 0
-        for name in self.tracked:
-            sums = self.region_sums[name]
-            if emptied:
-                sums[region_id] = 0.0  # cancel drift, like AggregateState
-            else:
-                sums[region_id] -= arrays.attributes[name][position]
+        self.labels[self.arrays.index[area_id]] = UNASSIGNED

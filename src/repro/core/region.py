@@ -16,12 +16,14 @@ the validation predicates (:meth:`is_contiguous`,
 :meth:`remains_contiguous_without`) used before every move.
 
 Those predicates are served by an **incremental contiguity oracle**:
-the region lazily computes, in one Tarjan/component pass, the set of
-members whose removal keeps it contiguous (:meth:`removable_areas`),
-caches it, and invalidates the cache on every membership mutation.
-Between mutations, ``remains_contiguous_without`` is an O(1) set
-lookup instead of a BFS over the region — the difference between
-O(candidates × (|R|+E)) and O(|R|+E) per solver iteration.
+the region lazily computes, in one Tarjan/component pass, whether it
+is connected and which members are articulation points, caches that
+answer, and invalidates it on every membership mutation. Between
+mutations, ``remains_contiguous_without`` is an O(1) set lookup
+instead of a BFS over the region — the difference between
+O(candidates × (|R|+E)) and O(|R|+E) per solver iteration — and the
+set of removable members (:meth:`removable_areas`) is only built when
+someone asks for it.
 
 Heterogeneity-delta queries (the Tabu phase's innermost loop) are
 served by a **maintained objective structure**: the member
@@ -133,9 +135,9 @@ class Region:
         # oracle rebuild is a bare DFS over precomputed rows instead of
         # refiltering every member's full neighbor set.
         self._induced_adj: dict[int, list[int]] = {}
-        # Contiguity oracle: (is_contiguous, removable member set),
-        # rebuilt lazily and invalidated on every membership mutation.
-        self._contig_cache: tuple[bool, frozenset[int]] | None = None
+        # Contiguity oracle answer (see _oracle), rebuilt lazily and
+        # invalidated on every membership mutation.
+        self._contig_cache: tuple | None = None
         # Incremental block-cut structure + pending mutation log. Each
         # log entry carries the mutation's own in-region neighbor
         # snapshot (the induced adjacency reflects *final* state, not
@@ -147,9 +149,9 @@ class Region:
         # derived caches keyed by (region id, version) — the Tabu
         # donor-side derive cache — survive neighbor-only dirtiness.
         self._version = 0
-        # Optional ArrayState sink (set by SolutionState): mirrored from
-        # the same call sites that update the scalar aggregates, so the
-        # flat label/aggregate vectors accumulate in identical order.
+        # Optional ArrayState sink (set by SolutionState): the flat
+        # label vector, written from the same call sites that update
+        # the membership.
         self._array_state = array_state
         self.perf = perf
         for area_id in areas:
@@ -261,8 +263,8 @@ class Region:
         """Absorb all areas of *other* into this region.
 
         This region takes *other*'s areas through :meth:`add_area` in
-        *other*'s set-iteration order, so its aggregates, sorted list,
-        ``H`` and array-mirror row are bit-identical to a
+        *other*'s set-iteration order, so its aggregates, sorted list
+        and ``H`` are bit-identical to a
         remove-then-add loop. *other*, which callers drop right after,
         is emptied in one step instead of area by area. Raises if the
         two regions overlap.
@@ -386,8 +388,14 @@ class Region:
     # ------------------------------------------------------------------
     # contiguity
     # ------------------------------------------------------------------
-    def _oracle(self) -> tuple[bool, frozenset[int]]:
-        """``(is_contiguous, removable members)``, cached.
+    def _oracle(self) -> tuple:
+        """``(is_contiguous, articulation, removable)``, cached.
+
+        A connected region of two or more members answers with its
+        articulation set and ``removable = None`` (every other member
+        is removable; :meth:`removable_areas` builds that set on first
+        request). Any other region answers with ``articulation = None``
+        and its removable set spelled out.
 
         A stale cache is refreshed **incrementally** whenever the
         region carries a live block-cut structure: the pending
@@ -413,20 +421,24 @@ class Region:
             log = self._bc_log
             applied = True
             neighbors = self._collection.neighbors
+            # A lone removal sees the induced rows as they were right
+            # after it, so its block re-split can reuse them.
+            adjacency = self._induced_adj if len(log) == 1 else None
             for is_add, area_id, snapshot in log:
                 if is_add:
                     applied = index.add_vertex(area_id, snapshot)
                 else:
-                    applied = index.remove_vertex(area_id, neighbors)
+                    applied = index.remove_vertex(
+                        area_id, neighbors, adjacency
+                    )
                 if not applied:
                     break
             log.clear()
             if applied and len(index) == len(self._areas):
-                areas = self._areas
-                if len(areas) <= 1:
-                    answer = (bool(areas), frozenset())
+                if len(self._areas) <= 1:
+                    answer = (bool(self._areas), None, frozenset())
                 else:
-                    answer = (True, frozenset(areas) - index.articulation)
+                    answer = (True, index.articulation, None)
                 if perf is not None:
                     perf.oracle_incremental += 1
                 self._contig_cache = answer
@@ -442,7 +454,7 @@ class Region:
         self._contig_cache = answer
         return answer
 
-    def _rebuild_block_structure(self) -> tuple[bool, frozenset[int]]:
+    def _rebuild_block_structure(self) -> tuple:
         """Full-DFS oracle rebuild that re-seeds the incremental
         block-cut structure (connected regions only — a fragmented
         region keeps none and every query re-scans until it heals).
@@ -452,7 +464,7 @@ class Region:
         self._bc_log.clear()
         if not areas:
             self._bc_index = None
-            return (False, frozenset())
+            return (False, None, frozenset())
         components, articulation, blocks = block_cut_state(
             areas, self._collection.neighbors, adjacency=self._induced_adj
         )
@@ -461,17 +473,17 @@ class Region:
             index.load(blocks, articulation)
             self._bc_index = index
             if len(areas) == 1:
-                return (True, frozenset())
-            return (True, frozenset(areas) - articulation)
+                return (True, None, frozenset())
+            return (True, articulation, None)
         self._bc_index = None
         if len(components) == 2:
-            return (False, frozenset(
+            return (False, None, frozenset(
                 node
                 for component in components
                 if len(component) == 1
                 for node in component
             ))
-        return (False, frozenset())
+        return (False, None, frozenset())
 
     def is_contiguous(self) -> bool:
         """True when the member areas form one connected component."""
@@ -483,12 +495,15 @@ class Region:
         """Members whose removal keeps the region contiguous and
         non-empty — the non-articulation members of a connected region.
 
-        This is the oracle's batch view: the Tabu move-pool derivation
-        consumes it directly instead of running its own articulation
-        pass, and :meth:`remains_contiguous_without` is a membership
-        test against it.
+        This is the oracle's batch view, built from the cached answer
+        once per membership state; :meth:`remains_contiguous_without`
+        answers single members without it.
         """
-        return self._oracle()[1]
+        connected, articulation, removable = self._oracle()
+        if removable is None:
+            removable = frozenset(self._areas) - articulation
+            self._contig_cache = (connected, articulation, removable)
+        return removable
 
     def remains_contiguous_without(self, area_id: int) -> bool:
         """True when removing *area_id* leaves a connected, non-empty
@@ -506,7 +521,10 @@ class Region:
             # This check has to pay for the rebuild itself — the only
             # case where a check still costs a full graph pass.
             perf.full_bfs_checks += 1
-        return area_id in self._oracle()[1]
+        _, articulation, removable = self._oracle()
+        if articulation is not None:
+            return area_id not in articulation
+        return area_id in removable
 
     def neighboring_areas(self) -> frozenset[int]:
         """Area ids adjacent to the region but not inside it (its

@@ -93,12 +93,14 @@ def format_solution_report(
         f"  construction time: {solution.construction_seconds:.3f}s over "
         f"{solution.construction.iterations} pass(es)"
     )
-    if len(solution.attempts) > 1:
-        retried = sum(1 for attempt in solution.attempts if attempt.degenerate)
-        lines.append(
-            f"  construction attempts: {len(solution.attempts)} "
-            f"({retried} degenerate, retried with derived seeds)"
-        )
+    for component, attempts in solution.attempts_by_problem().items():
+        if len(attempts) > 1:
+            retried = sum(1 for attempt in attempts if attempt.degenerate)
+            where = "" if component is None else f" (component {component})"
+            lines.append(
+                f"  construction attempts{where}: {len(attempts)} "
+                f"({retried} degenerate, retried with derived seeds)"
+            )
     if solution.tabu is not None:
         lines.append(
             f"  tabu time: {solution.tabu_seconds:.3f}s "

@@ -124,7 +124,10 @@ class ConstructionAttempt:
     """Diagnostics for one construction attempt under the retry policy.
 
     The first attempt uses ``FaCTConfig.rng_seed``; retries (triggered
-    by a degenerate partition) use seeds derived from it.
+    by a degenerate partition) use seeds derived from it. In a
+    decomposed solve each component runs its own retry policy, and
+    ``component`` names the component index the attempt belongs to
+    (``None`` for a whole solve).
     """
 
     seed: int
@@ -132,6 +135,7 @@ class ConstructionAttempt:
     n_unassigned: int
     degenerate: bool
     elapsed_seconds: float
+    component: int | None = None
 
 
 @dataclass(frozen=True)
@@ -160,7 +164,9 @@ class EMPSolution:
         Wall-clock time of the Phase-1 scan alone.
     attempts:
         One :class:`ConstructionAttempt` per construction tried by the
-        degenerate-retry policy (a single entry for ordinary runs).
+        degenerate-retry policy (a single entry for ordinary runs; one
+        or more per solved component of a decomposed solve — see
+        :meth:`attempts_by_problem`).
     perf:
         Hot-path counters of the winning construction pass and the
         Tabu search that refined it (contiguity-oracle hits/rebuilds,
@@ -257,9 +263,23 @@ class EMPSolution:
         """Relative heterogeneity improvement from the local search."""
         return self.tabu.improvement if self.tabu else 0.0
 
+    def attempts_by_problem(
+        self,
+    ) -> dict[int | None, tuple[ConstructionAttempt, ...]]:
+        """:attr:`attempts` grouped by the (sub)problem that ran them:
+        ``None`` for a whole solve, the component index for each solved
+        component of a decomposed one. Every group beyond one attempt
+        retried a degenerate construction."""
+        groups: dict[int | None, list[ConstructionAttempt]] = {}
+        for attempt in self.attempts:
+            groups.setdefault(attempt.component, []).append(attempt)
+        return {key: tuple(group) for key, group in groups.items()}
+
     def summary(self) -> dict[str, object]:
         """The output statistics FaCT reports to users (Section
-        VII-B3), as a plain dict."""
+        VII-B3), as a plain dict. ``n_construction_attempts`` is the
+        most attempts any one (sub)problem ran, so ``1`` means no
+        retries anywhere."""
         return {
             "p": self.p,
             "n_unassigned": self.n_unassigned,
@@ -269,7 +289,10 @@ class EMPSolution:
             "improvement": round(self.improvement, 4),
             "construction_seconds": round(self.construction_seconds, 4),
             "tabu_seconds": round(self.tabu_seconds, 4),
-            "n_construction_attempts": max(len(self.attempts), 1),
+            "n_construction_attempts": max(
+                (len(group) for group in self.attempts_by_problem().values()),
+                default=1,
+            ),
             "n_invalid_areas": self.feasibility.n_invalid,
             "warnings": list(self.feasibility.warnings),
             "perf": self.perf.as_dict() if self.perf is not None else None,
@@ -450,7 +473,9 @@ class FaCT:
             if config.preflight:
                 with tracer.span("preflight") as span:
                     components, structure_findings = scan_structure(
-                        collection, budget=budget
+                        collection,
+                        budget=budget,
+                        decompose=config.decompose_components,
                     )
                     if span.recording:
                         span.set(
@@ -846,6 +871,7 @@ class FaCT:
         config = self.config
         merged_labels: dict[int, int] = {}
         solved: list[tuple] = []  # (construction, attempts, tabu)
+        attempts: list[ConstructionAttempt] = []
         interim: list[tuple] = []  # (index, members, status, H, seconds)
         heterogeneity_before = 0.0
         offset = 0
@@ -866,7 +892,10 @@ class FaCT:
                             key_prefix=f"component/{index}/",
                         )
                     )
-                    construction, _, tabu = solved[-1]
+                    construction, tried, tabu = solved[-1]
+                    attempts.extend(
+                        replace(attempt, component=index) for attempt in tried
+                    )
                     runtime_perf.merge(construction.state.perf)
                     result = tabu if tabu is not None else construction
                     labels, p = result.partition.labels(), result.partition.p
@@ -964,10 +993,7 @@ class FaCT:
             n_components=len(preflight.components),
             p=merged_partition.p,
         )
-        attempts = tuple(
-            attempt for _, attempts, _ in solved for attempt in attempts
-        )
-        return merged, attempts, merged_tabu, tuple(provenance)
+        return merged, tuple(attempts), merged_tabu, tuple(provenance)
 
 
 def _phase_marker(telemetry, phase: str, *perf: PerfCounters) -> None:

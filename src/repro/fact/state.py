@@ -91,14 +91,11 @@ class SolutionState:
         self._unassigned: set[int] = set(self.assignment)
         self._next_region_id = 0
         self.perf = perf if perf is not None else PerfCounters()
-        # Every region this state creates mirrors its mutations into
-        # the flat-array state the vector kernels batch-read. The
-        # mirror is written from the same Region call sites that
-        # update the scalar aggregates, so both views accumulate
-        # bit-identically.
+        # Every region this state creates mirrors its membership into
+        # the flat label vector the vector kernels batch-read, from the
+        # same Region call sites that update the membership.
         self._array_state = arrays_mod.ArrayState(
             arrays_mod.collection_arrays(collection),
-            self.tracked,
             excluded=self.excluded,
         )
         # region id -> {adjacent non-member area -> #member neighbors}
@@ -254,8 +251,8 @@ class SolutionState:
 
         O(n · degree) — a test/debug aid, never called on hot paths.
         Raises ``AssertionError`` on any divergence. This also
-        validates the flat-array state (labels vector vs region
-        membership, aggregate vectors vs recomputed sums), so mirror
+        validates the labels vector against region membership and
+        each maintained aggregate sum against a recomputed one, so
         drift is caught at the first divergent mutation instead of at
         certification.
         """
@@ -295,7 +292,8 @@ class SolutionState:
         )
 
     def _check_array_state(self) -> None:
-        """Assert the array mirror matches the object graph exactly."""
+        """Assert the label vector matches the object graph and every
+        maintained aggregate sum its recomputed value."""
         import math
 
         astate = self._array_state
@@ -313,42 +311,18 @@ class SolutionState:
                 f"label vector diverged for area {area_id}: "
                 f"{label} != {expected}"
             )
-        live = set(self.regions)
-        for region_id in range(len(astate.region_count)):
-            if region_id in live:
-                continue
-            assert int(astate.region_count[region_id]) == 0, (
-                f"count vector tracks dead region {region_id}: "
-                f"{int(astate.region_count[region_id])}"
-            )
-            for name in astate.tracked:
-                assert float(astate.region_sums[name][region_id]) == 0.0, (
-                    f"sum vector {name!r} tracks dead region {region_id}"
-                )
         for region_id, region in self.regions.items():
-            count = int(astate.region_count[region_id])
-            assert count == len(region), (
-                f"count vector diverged for region {region_id}: "
-                f"{count} != {len(region)}"
-            )
-            for name in astate.tracked:
-                mirrored = float(astate.region_sums[name][region_id])
+            for name in self.tracked:
                 maintained = region.aggregate("SUM", name)
-                # Same call sites, same accumulation order: the mirror
-                # must equal the scalar aggregate bit for bit.
-                assert mirrored == maintained, (
-                    f"sum vector {name!r} diverged for region "
-                    f"{region_id}: {mirrored!r} != {maintained!r}"
-                )
                 recomputed = sum(
                     self.collection.attribute(area_id, name)
                     for area_id in sorted(region.area_ids)
                 )
                 assert math.isclose(
-                    mirrored, recomputed, rel_tol=1e-9, abs_tol=1e-6
+                    maintained, recomputed, rel_tol=1e-9, abs_tol=1e-6
                 ), (
-                    f"sum vector {name!r} drifted from recomputed sum "
-                    f"for region {region_id}: {mirrored!r} vs "
+                    f"aggregate sum {name!r} drifted from recomputed sum "
+                    f"for region {region_id}: {maintained!r} vs "
                     f"{recomputed!r}"
                 )
 

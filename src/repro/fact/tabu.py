@@ -23,18 +23,18 @@ the moved area) have their incident moves re-derived, mirroring the
 paper's "update the valid moves … in the region updated by the
 previous move"; a small region dirty only as a neighbor re-prices
 just the pairs the move changed, and all large dirty regions are
-priced together in one numpy batch. On top of the pool sits a **lazy
-min-heap index**: entries are invalidated by a per-donor generation
-stamp or a superseded delta instead of being searched for, the
-per-iteration "best admissible move" query pops a handful of entries
-instead of scanning the entire pool — O(log m) amortized versus O(m)
-per iteration — and the heap is compacted to the live moves once dead
-entries outnumber them by a fixed factor, so its size stays
-proportional to the pool. The exhaustive reference scan lives in
-``tests/oracles/hotpath_reference.py``; both order candidates by the
-same total key ``(delta, area, receiver, donor)``, so the test suite
-can replay a whole solve against it and demand an identical
-trajectory.
+priced together in one numpy batch. Each donor's moves are kept as a
+*run* sorted by ``(delta, area, receiver)``, and a lazy min-heap holds
+one cursor per run: only a run's head is pushed, and popping it pushes
+the next entry, so the per-iteration "best admissible move" query pays
+for the few entries it pops, not for every move a re-derive produced.
+Entries are invalidated by a per-run stamp or a dead-position mark
+instead of being searched for, and the heap is compacted once dead
+entries outnumber the live moves by a fixed factor. The exhaustive
+reference scan lives in ``tests/oracles/hotpath_reference.py``; both
+order candidates by the same total key ``(delta, area, receiver,
+donor)``, so the test suite can replay a whole solve against it and
+demand an identical trajectory.
 
 For the portfolio parallelism of :mod:`repro.fact.portfolio`, the
 search accepts an optional seeded RNG plus a perturbation count:
@@ -123,7 +123,7 @@ _VECTOR_MIN_DONOR = 48
 
 # Heap compaction rule: once the lazy heap holds more than
 # _COMPACT_FACTOR x live moves + _COMPACT_SLACK entries, _refresh
-# rebuilds it from the live moves. The factor bounds memory to a
+# rebuilds it from its valid entries. The factor bounds memory to a
 # constant multiple of the pool and makes each rebuild O(1) amortized
 # per push; the slack keeps tiny pools from rebuilding every iteration.
 _COMPACT_FACTOR = 4
@@ -364,6 +364,56 @@ def _constraint_plan(state: SolutionState) -> tuple:
     return tuple(plan)
 
 
+class _Run:
+    """One donor's moves from one derive, sorted by ``(delta, area,
+    receiver)``, plus what the search has learned about them since.
+
+    ``front`` is the highest position pushed onto the pool's heap so
+    far; ``dead`` holds positions evicted or corrected after a pop, and
+    ``fixes`` the corrected deltas by ``(area, receiver)`` key. A new
+    derive replaces the whole run under a new ``stamp``."""
+
+    __slots__ = ("stamp", "moves", "front", "dead", "fixes")
+
+    def __init__(self, stamp: int, moves: list[tuple[float, int, int]]):
+        self.stamp = stamp
+        self.moves = moves
+        self.front = 0
+        self.dead: set[int] = set()
+        self.fixes: dict[_MoveKey, float] = {}
+
+    def live(self) -> int:
+        """Number of valid moves: live positions plus corrections."""
+        return len(self.moves) - len(self.dead) + len(self.fixes)
+
+    def live_moves(self) -> dict[_MoveKey, float]:
+        """The valid moves as ``{(area, receiver): delta}``."""
+        dead = self.dead
+        moves = {
+            (area_id, receiver_id): delta
+            for pos, (delta, area_id, receiver_id) in enumerate(self.moves)
+            if pos not in dead
+        }
+        moves.update(self.fixes)
+        return moves
+
+    def evict(self, key: _MoveKey, pos: int) -> None:
+        """Retire the popped entry at *pos* (``-1``: the correction of
+        *key*)."""
+        if pos < 0:
+            del self.fixes[key]
+        else:
+            self.dead.add(pos)
+
+
+def _sorted_run(moves: dict[_MoveKey, float]) -> list[tuple[float, int, int]]:
+    """A moves dict as a run: ``(delta, area, receiver)`` ascending."""
+    return sorted(
+        (delta, area_id, receiver_id)
+        for (area_id, receiver_id), delta in moves.items()
+    )
+
+
 class _MovePool:
     """Incrementally maintained pool of valid moves with a heap index.
 
@@ -384,23 +434,30 @@ class _MovePool:
     against live region state before returning it, correcting or
     evicting stale entries on the spot.
 
-    The heap index holds entries ``(delta, area, receiver, donor,
-    stamp)``. An entry is valid while its stamp is the donor's current
-    generation stamp and its delta equals the donor's cached delta for
-    that key; validity is decided at pop time, never by searching the
-    heap. The stamp is bumped when a donor's membership changed (every
-    old entry of that donor dies at once); a neighbor-only re-derive
-    keeps the stamp and pushes only the keys whose delta is new or
-    changed. Entries popped but still valid (tabu-skipped, or the
-    chosen move itself) are pushed back, so every live move keeps at
-    least one valid entry.
+    Each derive installs the donor's moves as a :class:`_Run` sorted by
+    ``(delta, area, receiver)`` under a new stamp, and pushes only the
+    run's head. The heap holds entries ``(delta, area, receiver, donor,
+    stamp, pos)``; popping the entry at a run's ``front`` pushes the
+    next position, so every run keeps a cursor in the heap at its
+    smallest unpopped move. A correction goes to the run's ``fixes``
+    and is pushed with ``pos = -1``; the corrected or evicted position
+    is marked dead. An entry is valid while its stamp is its donor's
+    run stamp and its position is not dead (``pos = -1``: while the
+    correction still holds that delta); validity is decided at pop
+    time, never by searching the heap. Entries popped but still valid
+    (tabu-skipped, or the chosen move itself) are pushed back. Every
+    valid move therefore either has its entry in the heap or sits
+    behind its run's cursor in sorted order, so the heap minimum over
+    valid entries is the minimum over all valid moves — the order an
+    exhaustive scan gives.
 
     Dead entries are dropped in bulk: once the heap holds more than
     ``_COMPACT_FACTOR`` × live moves + ``_COMPACT_SLACK`` entries it is
-    rebuilt from the live moves alone. A dead entry can only turn valid
-    again when its exact tuple is pushed anew (a re-derive or a
-    correction assigns that delta under that stamp, and every such
-    assignment pushes), so dropping it never changes a pop outcome.
+    rebuilt from its valid entries alone. A dead entry can only turn
+    valid again when its exact tuple is pushed anew (stamps never
+    repeat and dead positions stay dead; only a correction can restore
+    a delta, and every correction pushes), so dropping it never changes
+    a pop outcome.
     """
 
     def __init__(self, state: SolutionState, objective):
@@ -408,7 +465,7 @@ class _MovePool:
 
         self._state = state
         self._objective = objective
-        self._moves_by_donor: dict[int, dict[_MoveKey, float]] = {}
+        self._runs: dict[int, _Run] = {}
         self._dirty: set[int] = set(state.regions)
         # Areas moved since the last refresh: a neighbor-only dirty
         # region re-discovers receivers only around them.
@@ -417,14 +474,14 @@ class _MovePool:
         # maintained sorted/prefix lists (and may take the vector
         # kernel); any other objective prices through its own
         # delta_move in the scalar kernel. Both kernels produce
-        # identical move dicts in identical insertion order.
+        # identical runs.
         self._heterogeneity = type(objective) is HeterogeneityObjective
         self._plan = _constraint_plan(state)
-        self._heap: list[tuple[float, int, int, int, int]] = []
-        self._stamp: dict[int, int] = {}
+        self._heap: list[tuple[float, int, int, int, int, int]] = []
+        self._next_stamp = 0
         # Membership version each donor's moves were last derived at.
         self._derived_at: dict[int, int] = {}
-        # Live moves (sum of the per-donor dict sizes), kept by
+        # Live moves (sum of the runs' live counts), kept by _store,
         # _refresh and best_admissible's eviction.
         self._live = 0
         # Scalar derive rows per donor, keyed by the donor's membership
@@ -455,61 +512,56 @@ class _MovePool:
         for region_id in self._dirty:
             region = regions.get(region_id)
             if region is None:
-                self._live -= len(self._moves_by_donor.get(region_id, ()))
-                for cache in (
-                    self._moves_by_donor, self._stamp, self._derived_at,
-                    self._rows,
-                ):
-                    cache.pop(region_id, None)
+                run = self._runs.pop(region_id, None)
+                if run is not None:
+                    self._live -= run.live()
+                self._derived_at.pop(region_id, None)
+                self._rows.pop(region_id, None)
             elif self._heterogeneity and len(region) >= _VECTOR_MIN_DONOR:
                 batch.append(region)
             else:
                 neighbor_only = (
                     self._derived_at.get(region_id) == region._version
                 )
-                self._store(region, self._derive_moves_scalar(
+                self._store(region, _sorted_run(self._derive_moves_scalar(
                     region, touched if neighbor_only else None
-                ))
-        for region, moves in zip(batch, self._derive_moves_batch(batch)):
-            self._store(region, moves)
+                )))
+        for region, run in zip(batch, self._derive_moves_batch(batch)):
+            self._store(region, run)
         self._dirty.clear()
         self._moved.clear()
         if len(self._heap) > _COMPACT_FACTOR * self._live + _COMPACT_SLACK:
             self._compact()
 
-    def _store(self, region: Region, moves: dict[_MoveKey, float]) -> None:
-        """Install *region*'s re-derived moves and push their heap
-        entries: all of them under a new stamp, or — when its
-        membership is what the old moves were derived at (it was dirty
-        only as a neighbor) — only the new or changed ones under the
-        old stamp."""
+    def _store(
+        self, region: Region, moves: list[tuple[float, int, int]]
+    ) -> None:
+        """Install *region*'s re-derived run under a new stamp (every
+        entry of its old run dies at once) and push the run's head."""
         region_id = region.region_id
-        old = self._moves_by_donor.get(region_id)
-        neighbor_only = self._derived_at.get(region_id) == region._version
-        self._moves_by_donor[region_id] = moves
+        old = self._runs.get(region_id)
+        if old is not None:
+            self._live -= old.live()
+        self._next_stamp = stamp = self._next_stamp + 1
+        self._runs[region_id] = _Run(stamp, moves)
         self._derived_at[region_id] = region._version
-        self._live += len(moves) - len(old or ())
-        heap = self._heap
-        if neighbor_only:
-            # Same stamp: the entries of unchanged deltas stay valid.
-            stamp = self._stamp[region_id]
-            previous = old.get
-            for key, delta in moves.items():
-                if previous(key) != delta:
-                    heappush(heap, (delta, *key, region_id, stamp))
-        else:
-            stamp = self._stamp[region_id] = self._stamp.get(region_id, 0) + 1
-            for (area_id, receiver_id), delta in moves.items():
-                heappush(heap, (delta, area_id, receiver_id, region_id, stamp))
+        self._live += len(moves)
+        if moves:
+            heappush(self._heap, (*moves[0], region_id, stamp, 0))
+
+    def _valid(self, entry) -> bool:
+        """Whether a heap entry still stands for a live move."""
+        _, area_id, receiver_id, donor_id, stamp, pos = entry
+        run = self._runs.get(donor_id)
+        if run is None or run.stamp != stamp:
+            return False
+        if pos < 0:
+            return run.fixes.get((area_id, receiver_id)) == entry[0]
+        return pos not in run.dead
 
     def _compact(self) -> None:
-        """Rebuild the heap from the live moves alone (one entry each)."""
-        stamps = self._stamp
-        self._heap[:] = [
-            (delta, area_id, receiver_id, donor_id, stamps[donor_id])
-            for donor_id, moves in self._moves_by_donor.items()
-            for (area_id, receiver_id), delta in moves.items()
-        ]
+        """Rebuild the heap from its valid entries alone."""
+        self._heap[:] = [entry for entry in self._heap if self._valid(entry)]
         heapify(self._heap)
 
     def _derive_moves_scalar(
@@ -683,45 +735,61 @@ class _MovePool:
 
     def _derive_moves_batch(
         self, donors: list[Region]
-    ) -> list[dict[_MoveKey, float]]:
+    ) -> list[list[tuple[float, int, int]]]:
         """Vector counterpart of :meth:`_derive_moves_scalar` for a
-        whole refresh's large donors at once: one moves dict per donor,
-        bit-identical to the scalar derive of that donor.
+        whole refresh's large donors at once: one run per donor,
+        bit-identical to the scalar derive of that donor sorted by
+        ``(delta, area, receiver)``.
 
-        One CSR gather over every donor's removable members finds all
+        A connected donor's candidates are its members off the label
+        vector minus its articulation positions (no per-query set is
+        built); a fragmented donor's come from ``removable_areas()``.
+        One CSR gather over every donor's candidates finds all
         (candidate, receiver) pairs; only candidates that have a pair
         (a neighbor in another region) get donor-side work. Constraint
         verdicts and heterogeneity deltas are elementwise float64
-        arithmetic that replays the scalar computation exactly, and
-        pairs come out in (donor, area asc, receiver asc) order — the
-        scalar insertion order within each donor.
+        arithmetic that replays the scalar computation exactly, and one
+        ``lexsort`` keyed ``(donor, delta, area, receiver)`` orders
+        every donor's run at once.
         """
         perf = self._state.perf
-        moves: list[dict[_MoveKey, float]] = [{} for _ in donors]
+        runs: list[list[tuple[float, int, int]]] = [[] for _ in donors]
+        astate = self._state.array_state
+        arrays = astate.arrays
         # Donors that can give anything: two or more members, the COUNT
         # bounds still met with one fewer, and a removable member.
         slots: list[int] = []
-        sizes: list[int] = []
-        cand_ids: list[int] = []
+        parts = []
         for slot, donor in enumerate(donors):
             if len(donor) <= 1:
                 continue
             perf.vector_derives += 1
             spare = len(donor) - 1
-            if all(
+            if not all(
                 table is not None or lower <= spare <= upper
                 for _, _, table, lower, upper in self._plan
-            ) and (candidates := donor.removable_areas()):
-                cand_ids += sorted(candidates)
-                sizes.append(len(candidates))
-                slots.append(slot)
+            ):
+                continue
+            articulation = donor._oracle()[1]
+            if articulation is None:
+                candidates = donor.removable_areas()
+                if not candidates:
+                    continue
+                part = arrays.positions(sorted(candidates))
+            else:
+                member = astate.labels == donor.region_id
+                if articulation:
+                    member[arrays.positions(articulation)] = False
+                part = np.flatnonzero(member)
+            parts.append(part)
+            slots.append(slot)
         if not slots:
-            return moves
+            return runs
         active = [donors[slot] for slot in slots]
-        cand_slot = np.repeat(np.arange(len(active)), sizes)
-        astate = self._state.array_state
-        arrays = astate.arrays
-        cand_idx = arrays.positions(cand_ids)
+        cand_slot = np.repeat(
+            np.arange(len(active)), [len(part) for part in parts]
+        )
+        cand_idx = np.concatenate(parts)
 
         # Receiver discovery: one label gather over the candidates' CSR
         # rows, then the unique (candidate ordinal, receiver) pairs from
@@ -736,7 +804,7 @@ class _MovePool:
         donor_ids = np.asarray([donor.region_id for donor in active])
         edge = (labels >= 0) & (labels != donor_ids[cand_slot[owner]])
         if not edge.any():
-            return moves
+            return runs
         codes = np.sort((owner[edge] << _PAIR_SHIFT) | labels[edge])
         codes = codes[_run_starts(codes)]
         own = codes >> _PAIR_SHIFT
@@ -751,7 +819,7 @@ class _MovePool:
         keep = self._donor_feasible(active, front_idx, front_slot)[pair_front]
         own, recv, pair_front = own[keep], recv[keep], pair_front[keep]
         if not len(own):
-            return moves
+            return runs
         perf.candidate_evaluations += len(own)
         remove_delta = -_deviation_sums(
             active,
@@ -771,7 +839,7 @@ class _MovePool:
         group = np.empty(len(recv), dtype=np.int64)
         group[order] = np.cumsum(first) - 1
         pair_idx = cand_idx[own]
-        kept = self._receiver_feasible_all(recv, pair_idx, receivers, group)
+        kept = self._receiver_feasible_all(pair_idx, receivers, group)
         perf.delta_fastpath += 2 * int(kept.sum())
         deltas = np.empty(len(recv), dtype=np.float64)
         deltas[order] = remove_delta[pair_front[order]] + _deviation_sums(
@@ -780,16 +848,19 @@ class _MovePool:
             arrays.dissimilarity[pair_idx[order]],
         )
 
-        # One dict per donor from its slice of the kept pairs, which
-        # stay in ascending (ordinal, receiver) order.
-        own, recv, pair_idx = own[kept], recv[kept], pair_idx[kept]
-        keys = list(zip(arrays.ids[pair_idx].tolist(), recv.tolist()))
-        values = deltas[kept].tolist()
-        cuts = np.searchsorted(cand_slot[own], np.arange(len(active) + 1))
+        # Every donor's run from one sort of the kept pairs.
+        pair_slot = cand_slot[own[kept]]
+        recv, deltas = recv[kept], deltas[kept]
+        area = arrays.ids[pair_idx[kept]]
+        order = np.lexsort((recv, area, deltas, pair_slot))
+        moves = list(zip(
+            deltas[order].tolist(), area[order].tolist(), recv[order].tolist()
+        ))
+        cuts = np.searchsorted(pair_slot, np.arange(len(active) + 1))
         for slot, lo, hi in zip(slots, cuts[:-1].tolist(), cuts[1:].tolist()):
             if lo < hi:
-                moves[slot] = dict(zip(keys[lo:hi], values[lo:hi]))
-        return moves
+                runs[slot] = moves[lo:hi]
+        return runs
 
     def _donor_feasible(self, donors: list[Region], cand_idx, cand_slot):
         """Elementwise ``satisfies_after_remove`` over candidates of
@@ -828,38 +899,37 @@ class _MovePool:
             ok &= _within(value, lower, upper)
         return ok
 
-    def _receiver_feasible_all(self, recv, pair_idx, receivers, group):
+    def _receiver_feasible_all(self, pair_idx, receivers, group):
         """Elementwise ``satisfies_after_add`` over every (candidate,
-        receiver) pair at once.
+        receiver) pair at once (*group* is each pair's index into the
+        unique *receivers*).
 
-        SUM/AVG/COUNT read the flat per-region aggregate vectors the
-        :class:`repro.core.arrays.ArrayState` sink maintains (bit-equal
-        to the scalar :class:`~repro.core.aggregates.AggregateState`
-        sums — ``check_indexes`` asserts exactly that); MIN/MAX read
-        each of the unique *receivers*' cached extremum once (*group*
-        is each pair's index into *receivers*).
+        Each receiver's size and its aggregate states' sums, minima and
+        maxima are read once and spread over its pairs: the same floats
+        the scalar :class:`~repro.core.aggregates.AggregateState`
+        checks read, so the verdicts are the scalar ones.
         """
-        astate = self._state.array_state
-        columns = astate.arrays.attributes
-        counts = astate.region_count[recv] + 1
-        ok = np.ones(len(recv), dtype=bool)
+        columns = self._state.array_state.arrays.attributes
+        counts = np.asarray([len(region) + 1 for region in receivers])[group]
+        ok = np.ones(len(pair_idx), dtype=bool)
         for aggregate, attribute, table, lower, upper in self._plan:
             if table is None:  # COUNT
-                value = counts
-            elif aggregate == Aggregate.SUM or aggregate == Aggregate.AVG:
-                value = astate.region_sums[attribute][recv] + columns[
-                    attribute
-                ][pair_idx]
+                ok &= _within(counts, lower, upper)
+                continue
+            states = [region._aggregates[attribute] for region in receivers]
+            vals = columns[attribute][pair_idx]
+            if aggregate == Aggregate.SUM or aggregate == Aggregate.AVG:
+                value = np.asarray([agg.sum for agg in states])[group] + vals
                 if aggregate == Aggregate.AVG:
                     value /= counts
+            elif aggregate == Aggregate.MIN:
+                value = np.minimum(
+                    np.asarray([agg.min for agg in states])[group], vals
+                )
             else:
-                states = [region._aggregates[attribute] for region in receivers]
-                if aggregate == Aggregate.MIN:
-                    extrema = np.asarray([agg.min for agg in states])
-                    value = np.minimum(extrema[group], columns[attribute][pair_idx])
-                else:
-                    extrema = np.asarray([agg.max for agg in states])
-                    value = np.maximum(extrema[group], columns[attribute][pair_idx])
+                value = np.maximum(
+                    np.asarray([agg.max for agg in states])[group], vals
+                )
             ok &= _within(value, lower, upper)
         return ok
 
@@ -896,8 +966,10 @@ class _MovePool:
         the *rng* state."""
         self._refresh()
         candidates: list[tuple[int, int, int]] = []
-        for donor_id in sorted(self._moves_by_donor):
-            for area_id, receiver_id in sorted(self._moves_by_donor[donor_id]):
+        for donor_id in sorted(self._runs):
+            for area_id, receiver_id in sorted(
+                self._runs[donor_id].live_moves()
+            ):
                 candidates.append((area_id, donor_id, receiver_id))
         while candidates:
             area_id, donor_id, receiver_id = candidates.pop(
@@ -926,22 +998,27 @@ class _MovePool:
         """
         self._refresh()
         heap = self._heap
-        moves_by_donor = self._moves_by_donor
-        stamps = self._stamp
-        deferred: list[tuple[float, int, int, int, int]] = []
+        runs = self._runs
+        deferred: list[tuple[float, int, int, int, int, int]] = []
         chosen: tuple[float, int, int, int] | None = None
         while heap:
             entry = heappop(heap)
-            delta, area_id, receiver_id, donor_id, stamp = entry
-            if stamp != stamps.get(donor_id):
+            delta, area_id, receiver_id, donor_id, stamp, pos = entry
+            run = runs.get(donor_id)
+            if run is None or run.stamp != stamp:
                 continue  # donor re-derived since this entry was pushed
-            moves = moves_by_donor.get(donor_id)
-            if moves is None:
-                continue
             key = (area_id, receiver_id)
-            cached = moves.get(key)
-            if cached is None or cached != delta:
-                continue  # evicted or superseded by a corrected entry
+            if pos < 0:
+                if run.fixes.get(key) != delta:
+                    continue  # evicted or corrected again
+            else:
+                if pos == run.front:
+                    # Advance the run's cursor to its next move.
+                    run.front = nxt = pos + 1
+                    if nxt < len(run.moves):
+                        heappush(heap, (*run.moves[nxt], donor_id, stamp, nxt))
+                if pos in run.dead:
+                    continue  # evicted or corrected
             if tabu_until.get(key, 0) >= iteration and (
                 current_h + delta >= best_h - 1e-9
             ):
@@ -949,12 +1026,16 @@ class _MovePool:
                 continue
             live = self._live_delta(area_id, donor_id, receiver_id)
             if live is None:
-                del moves[key]
+                run.evict(key, pos)
                 self._live -= 1
                 continue
-            if abs(live - cached) > 1e-9:
-                moves[key] = live
-                heappush(heap, (live, area_id, receiver_id, donor_id, stamp))
+            if abs(live - delta) > 1e-9:
+                if pos >= 0:
+                    run.dead.add(pos)
+                run.fixes[key] = live
+                heappush(
+                    heap, (live, area_id, receiver_id, donor_id, stamp, -1)
+                )
                 continue
             deferred.append(entry)  # the chosen move stays in the pool
             chosen = (live, area_id, donor_id, receiver_id)

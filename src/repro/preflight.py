@@ -368,16 +368,19 @@ def lint_rows(rows, adjacency=None) -> tuple[Finding, ...]:
 # ----------------------------------------------------------------------
 # layer 2 — structure scan
 # ----------------------------------------------------------------------
-def scan_structure(collection, budget=None):
+def scan_structure(collection, budget=None, decompose=False):
     """Connected-component scan + structure findings.
 
     Returns ``(components, findings)`` where *components* are sorted
     id tuples ordered by smallest member id (the canonical
-    decomposition order). Fires the ``preflight.components`` and
-    ``preflight.lint`` fault checkpoints; like the feasibility scan, a
-    deadline or cancellation observed here is swallowed — the scan is
-    already complete and the exhausted budget is re-observed by the
-    construction phase's first checkpoint.
+    decomposition order). *decompose* says whether the solve this scan
+    gates solves each component separately; the
+    ``disconnected-geography`` advice follows it. Fires the
+    ``preflight.components`` and ``preflight.lint`` fault checkpoints;
+    like the feasibility scan, a deadline or cancellation observed
+    here is swallowed — the scan is already complete and the exhausted
+    budget is re-observed by the construction phase's first
+    checkpoint.
     """
     components = tuple(
         tuple(sorted(component))
@@ -387,14 +390,18 @@ def scan_structure(collection, budget=None):
 
     findings: list[Finding] = []
     if len(components) > 1:
+        advice = (
+            "each island is solved separately"
+            if decompose
+            else "enable decompose_components to solve each island separately"
+        )
         findings.append(
             Finding(
                 code="disconnected-geography",
                 severity=WARNING,
                 message=(
                     f"the contiguity graph has {len(components)} connected "
-                    "components; regions cannot span components — enable "
-                    "decompose_components to solve each island separately"
+                    f"components; regions cannot span components — {advice}"
                 ),
                 ids=_sample(min(c) for c in components),
                 data={
@@ -611,7 +618,11 @@ def run_preflight(
     the combined :class:`PreflightReport`; call
     :meth:`PreflightReport.raise_if_failed` to enforce it.
     """
-    components, findings = scan_structure(collection, budget=budget)
+    components, findings = scan_structure(
+        collection,
+        budget=budget,
+        decompose=config is not None and config.decompose_components,
+    )
     if constraints is not None and feasibility is None:
         from .fact.feasibility import check_feasibility
 

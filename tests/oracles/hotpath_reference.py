@@ -20,13 +20,14 @@ live membership:
 - compactness: coordinate sums re-summed in sorted member order
   (:func:`compactness_region_sums`, :func:`compactness_total`);
 - region merge: the absorbed region kept up to date area by area —
-  aggregates, sorted list, block-cut log and array-mirror row — while
-  the survivor takes its areas (:func:`merge`);
+  aggregates, sorted list, block-cut log and label-vector entries —
+  while the survivor takes its areas (:func:`merge`);
 - Tabu move derive: every boundary move of a donor re-derived through
   the per-area ``Region.satisfies_after_*`` and ``Objective.delta_move``
   object calls, with no cached rows (:func:`derive_moves_scalar`);
-- Tabu selection: an exhaustive scan of the move pool under the heap
-  index's total order ``(delta, area, receiver, donor)``
+- Tabu selection: an exhaustive scan of every donor run's live moves
+  under the heap index's total order ``(delta, area, receiver, donor)``,
+  with corrections and evictions recorded in the runs
   (:func:`best_admissible`).
 
 The heterogeneity, merge, frontier, contiguity and Tabu references
@@ -241,10 +242,11 @@ def derive_moves_scalar(pool, donor: Region, touched=None) -> dict:
 
 def _scan(pool, iteration, tabu_until, current_h, best_h):
     """The admissible move minimizing ``(delta, area, receiver,
-    donor)`` as ``(delta, area, donor, receiver)``, or ``None``."""
+    donor)`` as ``(delta, area, donor, receiver)``, or ``None``, over
+    every donor run's live moves."""
     best = None
-    for donor_id, moves in pool._moves_by_donor.items():
-        for (area_id, receiver_id), delta in moves.items():
+    for donor_id, run in pool._runs.items():
+        for (area_id, receiver_id), delta in run.live_moves().items():
             if tabu_until.get((area_id, receiver_id), 0) >= iteration:
                 # Aspiration: accept a tabu move that beats best_h.
                 if current_h + delta >= best_h - 1e-9:
@@ -258,9 +260,20 @@ def _scan(pool, iteration, tabu_until, current_h, best_h):
     return (delta, area_id, donor_id, receiver_id)
 
 
+def _position(run, key) -> int:
+    """Where the live move *key* sits in *run*: its run position, or
+    ``-1`` when a correction holds it."""
+    if key in run.fixes:
+        return -1
+    for pos, (_, area_id, receiver_id) in enumerate(run.moves):
+        if (area_id, receiver_id) == key and pos not in run.dead:
+            return pos
+    raise AssertionError(f"{key} is not a live move")
+
+
 def best_admissible(pool, iteration, tabu_until, current_h, best_h):
     """Exhaustive scan plus the same correct-and-repeat live
-    validation the heap index applies."""
+    validation the heap index applies, recorded in the pool's runs."""
     pool._refresh()
     while True:
         candidate = _scan(pool, iteration, tabu_until, current_h, best_h)
@@ -269,12 +282,16 @@ def best_admissible(pool, iteration, tabu_until, current_h, best_h):
         cached_delta, area_id, donor_id, receiver_id = candidate
         live = pool._live_delta(area_id, donor_id, receiver_id)
         key = (area_id, receiver_id)
-        donor_moves = pool._moves_by_donor.get(donor_id, {})
+        run = pool._runs[donor_id]
+        pos = _position(run, key)
         if live is None:
-            donor_moves.pop(key, None)
+            run.evict(key, pos)
+            pool._live -= 1
             continue
         if abs(live - cached_delta) > 1e-9:
-            donor_moves[key] = live
+            if pos >= 0:
+                run.dead.add(pos)
+            run.fixes[key] = live
             continue
         return (live, area_id, donor_id, receiver_id)
 

@@ -172,13 +172,17 @@ class TestFromLabelsArrayParity:
         )
         astate_a, astate_b = state_a.array_state, state_b.array_state
         assert np.array_equal(astate_a.labels, astate_b.labels)
-        assert np.array_equal(
-            astate_a.region_count, astate_b.region_count
-        )
-        for name in astate_a.tracked:
-            assert np.array_equal(
-                astate_a.region_sums[name], astate_b.region_sums[name]
-            )
+        for region_id, region in state_a.regions.items():
+            other = state_b.regions[region_id]
+            assert len(region) == len(other)
+            for name in state_a.tracked:
+                agg, other_agg = (
+                    region._aggregates[name], other._aggregates[name]
+                )
+                assert repr(agg.sum) == repr(other_agg.sum)
+                assert (agg.count, agg.min, agg.max) == (
+                    other_agg.count, other_agg.min, other_agg.max
+                )
         assert (
             state_a.total_heterogeneity() == state_b.total_heterogeneity()
         )
@@ -201,11 +205,10 @@ class TestFromLabelsArrayParity:
         region = state.new_region()
         for area_id in sorted(state.unassigned)[:3]:
             state.assign(area_id, region)
-        astate = state.array_state
         state.check_indexes()
-        name = astate.tracked[0]
-        astate.region_sums[name][region.region_id] += 1.0
-        with pytest.raises(AssertionError, match="sum vector"):
+        name = state.tracked[0]
+        region._aggregates[name]._sum += 1.0
+        with pytest.raises(AssertionError, match="aggregate sum"):
             state.check_indexes()
 
 

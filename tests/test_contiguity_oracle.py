@@ -1,8 +1,10 @@
 """Property tests for the incremental contiguity oracle and the
 SolutionState frontier/adjacency indexes.
 
-The oracle caches ``(is_contiguous, removable members)`` per region
-and invalidates on every membership mutation; the state maintains
+The oracle caches ``(is_contiguous, articulation, removable)`` per
+region (the removable set of a connected region is only built when
+asked for) and invalidates on every membership mutation; the state
+maintains
 counted border/adjacency indexes through ``assign``/``move``/
 ``unassign``/``merge_regions``/``dissolve_region``. These tests drive
 random mutation sequences and assert, after **every** mutation, that
@@ -13,6 +15,10 @@ random mutation sequences and assert, after **every** mutation, that
   (``SolutionState.check_indexes``),
 - indexed queries return exactly what the reference scans return (the
   bit-identity whole-solve replays against the reference rely on).
+
+A whole enriched solve also replays every block-cut removal with and
+without the region's induced rows and validates both structures after
+each one.
 """
 
 from __future__ import annotations
@@ -21,8 +27,13 @@ import random
 
 import pytest
 
+from repro.bench.runner import bench_config
+from repro.bench.workloads import enriched_constraints
+from repro.contiguity.graph import BlockCutIndex
 from repro.core import ConstraintSet, PerfCounters, sum_constraint
 from repro.core.region import Region
+from repro.data.datasets import load_dataset
+from repro.fact import FaCT
 from repro.fact.state import SolutionState
 
 from conftest import make_grid_collection
@@ -189,6 +200,114 @@ class TestCacheInvalidation:
         assert_oracle_matches_reference(state)
         state.check_indexes()
         assert state.unassigned_neighbors(other) == [1, 2, 6, 7, 8]
+
+
+def connected_walk(state, rng, steps):
+    """Moves, unassigns and assigns that keep every region connected,
+    picking areas off the fresh-BFS reference so no production oracle
+    answer is built along the way. Yields after every mutation."""
+    for _ in range(steps):
+        region = state.regions[rng.choice(sorted(state.regions))]
+        kind = rng.random()
+        if kind < 0.2 and state.unassigned:
+            area_id = rng.choice(sorted(state.unassigned))
+            neighbors = sorted(
+                r.region_id for r in state.neighbor_regions(area_id)
+            )
+            if neighbors:
+                state.assign(area_id, state.regions[rng.choice(neighbors)])
+                yield
+            continue
+        if len(region) < 3:
+            continue
+        removable = sorted(reference.removable_areas(region))
+        if kind < 0.3:
+            state.unassign(rng.choice(removable))
+            yield
+            continue
+        adjacent = state.adjacent_regions(region)
+        if not adjacent:
+            continue
+        other = rng.choice(adjacent)
+        boundary = [
+            a for a in state.donor_boundary(region, other) if a in removable
+        ]
+        if boundary:
+            state.move(rng.choice(boundary), other)
+            yield
+
+
+class TestLazyRemovableSet:
+    @pytest.mark.parametrize("seed", [3, 17, 42, 99])
+    def test_answers_without_the_set_match_the_reference(self, seed):
+        """Per-member verdicts served straight off the articulation set
+        (before any ``removable_areas()`` call built the set) and the
+        set built afterwards both match the fresh-BFS reference."""
+        collection = make_grid_collection(6, 6)
+        state = SolutionState(collection, trivial_constraints())
+        for corner in (0, 3, 18, 21):
+            rows = [corner + 6 * row + 1 for row in range(3)]
+            state.new_region([start + col for start in rows for col in range(3)])
+        rng = random.Random(seed)
+        lazy = 0
+        for _ in connected_walk(state, rng, steps=80):
+            for region in state.iter_regions():
+                fresh = region._contig_cache is None
+                removable = reference.removable_areas(region)
+                for area_id in sorted(region.area_ids):
+                    assert region.remains_contiguous_without(area_id) == (
+                        area_id in removable
+                    )
+                if fresh and len(region) >= 2:
+                    # Connected: the verdicts above built no set.
+                    assert region._contig_cache[2] is None
+                    lazy += 1
+                assert region.removable_areas() == removable
+                assert region._contig_cache[2] == removable
+        assert lazy > 40
+
+
+def _twin(index: BlockCutIndex) -> BlockCutIndex:
+    """An independent copy of *index*."""
+    twin = BlockCutIndex()
+    twin.blocks = {bid: set(m) for bid, m in index.blocks.items()}
+    twin.vertex_blocks = {v: set(b) for v, b in index.vertex_blocks.items()}
+    twin.articulation = set(index.articulation)
+    twin._block_cuts = {bid: set(c) for bid, c in index._block_cuts.items()}
+    twin._next_id = index._next_id
+    return twin
+
+
+def test_resplit_off_induced_rows_matches_the_filtered_resplit(monkeypatch):
+    """Every block-cut removal of a whole enriched solve, applied once as
+    the region asks (off its induced rows when the pending log holds
+    only that removal) and once on a copy filtering the collection's
+    neighbor sets: both agree and ``check()`` holds for both."""
+    seen = {"removals": 0, "with_rows": 0, "resplits": 0}
+    remove = BlockCutIndex.remove_vertex
+
+    def replaying_remove(self, vertex, neighbors, adjacency=None):
+        twin = _twin(self)
+        bids = self.vertex_blocks.get(vertex, ())
+        resplit = len(bids) == 1 and len(self.blocks[next(iter(bids))]) >= 3
+        applied = remove(self, vertex, neighbors, adjacency)
+        assert remove(twin, vertex, neighbors) == applied
+        seen["removals"] += 1
+        if adjacency is not None:
+            seen["with_rows"] += 1
+            seen["resplits"] += applied and resplit
+        if applied:
+            members = list(self.vertex_blocks)
+            self.check(members, neighbors)
+            twin.check(members, neighbors)
+        return applied
+
+    monkeypatch.setattr(BlockCutIndex, "remove_vertex", replaying_remove)
+    collection = load_dataset("2k", scale=0.3)
+    config = bench_config(len(collection), rng_seed=7)
+    FaCT(config).solve(collection, enriched_constraints())
+    assert seen["with_rows"] > 0.9 * seen["removals"], seen
+    assert seen["resplits"] > 100, seen
 
 
 class TestIndexedQueriesMatchScanFallback:

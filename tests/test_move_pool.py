@@ -1,17 +1,22 @@
-"""The Tabu move pool's bounded heap, flat scalar kernel, batched
-vector kernel and neighbor-only re-pricing
+"""The Tabu move pool's per-donor runs, bounded heap, flat scalar
+kernel, batched vector kernel and neighbor-only re-pricing
 (``repro.fact.tabu._MovePool``).
 
 - Heap compaction is exact: firing it on every refresh lands on the
   production partition, and production keeps the heap within
-  ``4 x live moves + 1024`` entries after every refresh.
+  ``4 x live moves + 1024`` entries after every refresh while every
+  valid move keeps an entry or sits behind its run's cursor.
+- The heap pays for what the search pops, not for every derived move:
+  pushes stay within one head per re-derived donor, two per pop and
+  one per correction.
 - The flat scalar derive returns exactly what the object-call
-  reference derive (``oracles/hotpath_reference.py``) and the vector
-  derive return, over random assign/move/merge walks.
+  reference derive (``oracles/hotpath_reference.py``) returns, and the
+  vector derive returns that dict as a run sorted by ``(delta, area,
+  receiver)``, over random assign/move/merge walks.
 - The vector derive prices many donors in one batch and still gives
-  each donor exactly its own from-scratch derive.
+  each donor exactly its own from-scratch run.
 - A region re-derived because it borders a moved area, with its own
-  membership unchanged, gets exactly a from-scratch derive.
+  membership unchanged, gets exactly a from-scratch run.
 """
 
 from __future__ import annotations
@@ -66,7 +71,39 @@ def _outcome(collection, constraints):
 
 
 def _live(pool) -> int:
-    return sum(len(moves) for moves in pool._moves_by_donor.values())
+    return sum(len(run.live_moves()) for run in pool._runs.values())
+
+
+def _sorted_run(moves: dict) -> list:
+    """A moves dict as the pool's run order, ``(delta, area,
+    receiver)`` ascending."""
+    return sorted(
+        (delta, area_id, receiver_id)
+        for (area_id, receiver_id), delta in moves.items()
+    )
+
+
+def _bits(run: list) -> list:
+    """A run with each delta as its exact bit pattern."""
+    return [(delta.hex(), area, receiver) for delta, area, receiver in run]
+
+
+def _uncovered(pool) -> list:
+    """Valid moves that have no heap entry and do not sit behind their
+    run's cursor (whose heap entry exists) — empty when the heap can
+    serve the exact scan order."""
+    heap = set(pool._heap)
+    missing = []
+    for donor_id, run in pool._runs.items():
+        stamp = run.stamp
+        for pos, move in enumerate(run.moves[: run.front + 1]):
+            entry = (*move, donor_id, stamp, pos)
+            if pos not in run.dead and entry not in heap:
+                missing.append((donor_id, pos))
+        for (area_id, receiver_id), delta in run.fixes.items():
+            if (delta, area_id, receiver_id, donor_id, stamp, -1) not in heap:
+                missing.append((donor_id, area_id, receiver_id))
+    return missing
 
 
 # ----------------------------------------------------------------------
@@ -99,15 +136,51 @@ def test_heap_stays_within_the_compaction_bound(instance, monkeypatch):
 
     def recording_refresh(self):
         refresh(self)
-        observed.append((len(self._heap), _live(self)))
+        assert self._live == _live(self)
+        # Every valid move keeps an entry or sits behind its run's
+        # cursor, so the heap never loses a move.
+        assert not _uncovered(self)
+        observed.append((len(self._heap), self._live))
 
     monkeypatch.setattr(tabu._MovePool, "_refresh", recording_refresh)
     _outcome(collection, constraints)
     assert len(observed) > 100
     for heap_size, live in observed:
         assert heap_size <= HEAP_FACTOR * live + HEAP_SLACK
-    # Every live move keeps an entry, so the heap never undershoots.
-    assert all(heap_size >= live for heap_size, live in observed)
+
+
+def test_heap_traffic_follows_pops_not_derived_moves(enriched_2k, monkeypatch):
+    """Over a whole enriched solve the heap takes one head per re-derived
+    donor, at most two entries per pop (the run's next move and the
+    popped entry pushed back) and one per correction — not one per
+    derived move."""
+    traffic = dict.fromkeys(("pushes", "pops", "stores", "fixes", "moves"), 0)
+    push, pop, store = tabu.heappush, tabu.heappop, tabu._MovePool._store
+
+    def counting_push(heap, entry):
+        traffic["pushes"] += 1
+        traffic["fixes"] += entry[-1] == -1
+        push(heap, entry)
+
+    def counting_pop(heap):
+        traffic["pops"] += 1
+        return pop(heap)
+
+    def counting_store(self, region, moves):
+        traffic["stores"] += 1
+        traffic["moves"] += len(moves)
+        store(self, region, moves)
+
+    monkeypatch.setattr(tabu, "heappush", counting_push)
+    monkeypatch.setattr(tabu, "heappop", counting_pop)
+    monkeypatch.setattr(tabu._MovePool, "_store", counting_store)
+    _outcome(*enriched_2k)
+    assert traffic["pops"] > 100, traffic
+    assert traffic["pushes"] <= (
+        traffic["stores"] + 2 * traffic["pops"] + traffic["fixes"]
+    ), traffic
+    # One entry per derived move would be many times that.
+    assert traffic["moves"] > 3 * traffic["pushes"], traffic
 
 
 # ----------------------------------------------------------------------
@@ -208,9 +281,11 @@ def test_flat_scalar_derive_matches_reference_and_vector(seed):
         _mutate(state, rng)
         for region_id in sorted(state.regions):
             region = state.regions[region_id]
-            flat = list(pool._derive_moves_scalar(region).items())
+            moves = pool._derive_moves_scalar(region)
+            flat = list(moves.items())
             assert flat == list(derive_moves_scalar(pool, region).items())
-            assert flat == list(pool._derive_moves_batch([region])[0].items())
+            run = pool._derive_moves_batch([region])[0]
+            assert _bits(run) == _bits(_sorted_run(moves))
             dup = region._aggregates["dup"]
             holders = [
                 area_id
@@ -230,8 +305,8 @@ def test_flat_scalar_derive_matches_reference_and_vector(seed):
 
 def _batch_walk(seed: int, seen: dict) -> None:
     """One random walk that prices every region in one batch after each
-    mutation and compares each donor's dict with the reference derive;
-    *seen* counts the cases the batch met."""
+    mutation and compares each donor's run with the reference derive
+    sorted into run order; *seen* counts the cases the batch met."""
     rng = random.Random(100 + seed)
     collection = _walk_collection(6, 7, seed)
     # Looser than _walk_constraints, so neighbors often give to each
@@ -259,9 +334,9 @@ def _batch_walk(seed: int, seen: dict) -> None:
         donors = [state.regions[rid] for rid in sorted(state.regions)]
         batch = pool._derive_moves_batch(donors)
         assert len(batch) == len(donors)
-        for donor, moves in zip(donors, batch):
+        for donor, run in zip(donors, batch):
             expected = derive_moves_scalar(pool, donor)
-            assert list(moves.items()) == list(expected.items())
+            assert _bits(run) == _bits(_sorted_run(expected))
             if len(donor) < 2:
                 continue
             if not count.contains(len(donor) - 1):
@@ -281,8 +356,8 @@ def _batch_walk(seed: int, seen: dict) -> None:
         # Donors in the same batch that give to each other.
         gives = {
             (donor.region_id, receiver_id)
-            for donor, moves in zip(donors, batch)
-            for _, receiver_id in moves
+            for donor, run in zip(donors, batch)
+            for _, _, receiver_id in run
         }
         seen["mutual_receivers"] += sum(
             1 for donor_id, receiver_id in gives
@@ -331,18 +406,16 @@ def test_refreshed_regions_equal_a_from_scratch_derive(
 
     def checking_refresh(self):
         dirty = set(self._dirty)
-        stamps = dict(self._stamp)
+        derived_at = dict(self._derived_at)
         refresh(self)
         for region_id in dirty:
             region = self._state.regions.get(region_id)
             if region is None:
                 continue
-            expected = derive_moves_scalar(self, region)
-            assert list(self._moves_by_donor[region_id].items()) == list(
-                expected.items()
-            )
+            expected = _sorted_run(derive_moves_scalar(self, region))
+            assert _bits(self._runs[region_id].moves) == _bits(expected)
             checked["refreshed"] += 1
-            if stamps.get(region_id) == self._stamp[region_id]:
+            if derived_at.get(region_id) == region._version:
                 checked["neighbor_only"] += 1
 
     monkeypatch.setattr(tabu._MovePool, "_refresh", checking_refresh)

@@ -68,8 +68,7 @@ def solve():
         kernel_trace.append(
             (self._state.perf.vector_derives - derives, calls[0])
         )
-        live = sum(len(moves) for moves in self._moves_by_donor.values())
-        heap_trace.append((len(self._heap), live))
+        heap_trace.append((len(self._heap), self._live))
 
     def counting_price(self, *args):
         calls[0] += 1

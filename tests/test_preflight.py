@@ -10,6 +10,7 @@ on both kernel paths, and provably infeasible instances are rejected
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import pytest
@@ -123,6 +124,21 @@ class TestScanStructure:
         assert sorted(finding.data["sizes"]) == sorted(
             len(c) for c in components
         )
+
+    def test_advice_follows_whether_the_solve_decomposes(self):
+        collection = island_collection()
+        _, (plain, *_) = scan_structure(collection)
+        _, (split, *_) = scan_structure(collection, decompose=True)
+        assert "enable decompose_components" in plain.message
+        assert "enable" not in split.message
+        assert "each island is solved separately" in split.message
+        assert split.data == plain.data
+        # run_preflight keeps today's advice unless its config decomposes.
+        (finding,) = run_preflight(collection).warnings
+        assert finding.message == plain.message
+        config = FaCTConfig(decompose_components=True)
+        (finding,) = run_preflight(collection, config=config).warnings
+        assert finding.message == split.message
 
     def test_components_ordered_by_smallest_member(self):
         components, _ = scan_structure(island_collection())
@@ -385,6 +401,42 @@ class TestSolverIntegration:
                 )
             )
         assert outcomes[0] == outcomes[1]
+
+    def test_decomposed_solve_reports_no_retries(self):
+        """Each island runs one construction attempt; the decomposed
+        solve reports them per component, not as retries."""
+        from repro.fact.reporting import format_solution_report
+
+        collection = island_collection()
+        solution = FaCT(
+            FaCTConfig(rng_seed=5, decompose_components=True)
+        ).solve(collection, island_constraints())
+        groups = solution.attempts_by_problem()
+        assert sorted(groups) == [0, 1, 2]
+        assert all(len(group) == 1 for group in groups.values())
+        assert solution.summary()["n_construction_attempts"] == 1
+        report = format_solution_report(solution, collection)
+        assert "construction attempts" not in report
+        assert "each island is solved separately" in report
+        assert "enable decompose_components" not in report
+        # A component that did retry is reported as its own problem.
+        first = groups[1][0]
+        retried = dataclasses.replace(
+            solution,
+            attempts=(
+                groups[0][0],
+                dataclasses.replace(first, degenerate=True),
+                dataclasses.replace(first, seed=first.seed + 1),
+                groups[2][0],
+            ),
+        )
+        assert retried.summary()["n_construction_attempts"] == 2
+        report = format_solution_report(retried, collection)
+        assert (
+            "construction attempts (component 1): 2 (1 degenerate, "
+            "retried with derived seeds)"
+        ) in report
+        assert report.count("construction attempts") == 1
 
     def test_decomposed_summary_reports_tabu(self):
         # Each island runs the whole solve's construct -> Tabu path, so

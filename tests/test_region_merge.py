@@ -2,15 +2,18 @@
 
 The per-area merge it replaced is kept as the oracle
 ``oracles/hotpath_reference.py::merge``: it also keeps the absorbed
-region's aggregates, sorted list, block-cut log and array-mirror row up
-to date, area by area. Whole solves with either merge give the same
-labels, ``p`` and ``repr(H)``, and after every merge the survivor's
-aggregate states, sorted list, ``H`` and array-mirror row are
-bit-identical, the absorbed region is empty with a zeroed mirror row,
-and ``check_indexes()`` holds.
+region's aggregates, sorted list, block-cut log and label-vector
+entries up to date, area by area. Whole solves with either merge give
+the same labels, ``p`` and ``repr(H)``, and after every merge the
+survivor's aggregate states, sorted list and ``H`` and the whole label
+vector are bit-identical, the absorbed region is empty with emptied
+aggregate states, and ``check_indexes()`` holds.
 """
 
 from __future__ import annotations
+
+import hashlib
+import math
 
 import pytest
 
@@ -35,7 +38,14 @@ def instance(request):
     return request.getfixturevalue(request.param)
 
 
-def _fingerprint(state: SolutionState, keep: Region, absorb_id: int):
+def _aggregate_states(region: Region) -> dict:
+    return {
+        name: (agg.count, repr(agg.sum), agg.min, agg.max)
+        for name, agg in region._aggregates.items()
+    }
+
+
+def _fingerprint(state: SolutionState, keep: Region, absorb: Region):
     mirror = state.array_state
     keep_id = keep.region_id
     return (
@@ -53,13 +63,8 @@ def _fingerprint(state: SolutionState, keep: Region, absorb_id: int):
             for name, agg in keep._aggregates.items()
         },
         keep.sorted_dissimilarities(),
-        [
-            (
-                int(mirror.region_count[rid]),
-                [repr(float(sums[rid])) for sums in mirror.region_sums.values()],
-            )
-            for rid in (keep_id, absorb_id)
-        ],
+        hashlib.sha256(mirror.labels.tobytes()).hexdigest(),
+        _aggregate_states(absorb),
     )
 
 
@@ -72,7 +77,7 @@ def _solve(collection, constraints, merge=None):
         merged = merge_regions(self, keep, absorb)
         assert len(absorb) == 0 and absorb.heterogeneity == 0.0
         self.check_indexes()
-        trace.append(_fingerprint(self, merged, absorb.region_id))
+        trace.append(_fingerprint(self, merged, absorb))
         return merged
 
     with pytest.MonkeyPatch.context() as patch:
@@ -98,8 +103,9 @@ def test_survivor_only_merge_matches_the_per_area_oracle(instance):
     assert outcome == expected_outcome
     assert len(trace) > 10
     assert trace == expected_trace
-    # The absorbed rows are zeroed exactly as an emptied region's.
+    # The absorbed states are emptied exactly as an emptied region's.
     assert all(
-        absorbed == (0, [repr(0.0)] * len(absorbed[1]))
-        for *_, (_, absorbed) in trace
+        absorbed
+        == {name: (0, repr(0.0), math.inf, -math.inf) for name in absorbed}
+        for *_, absorbed in trace
     )
