@@ -42,7 +42,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from ..core.area import AreaCollection
-from ..core.constraints import Constraint, ConstraintSet
+from ..core.constraints import Constraint, ConstraintPlan, ConstraintSet
 from ..core.partition import Partition
 from ..core.region import Region
 from ..exceptions import DatasetError
@@ -103,7 +103,9 @@ def solve_exact_bb(
     search = _Search(
         collection=collection,
         constraints=constraints,
-        monotone_uppers=tuple(monotone_uppers),
+        monotone=ConstraintPlan.of(
+            collection, ConstraintSet(monotone_uppers)
+        ).restrict(upper=("SUM", "COUNT")),
         order=order,
         tracked=tracked,
         allow_unassigned=allow_unassigned,
@@ -192,7 +194,7 @@ class _Search:
 
     collection: AreaCollection
     constraints: ConstraintSet
-    monotone_uppers: tuple[Constraint, ...]
+    monotone: ConstraintPlan  # the prunable counting upper bounds
     order: list[int]
     tracked: tuple[str, ...]
     allow_unassigned: bool
@@ -327,7 +329,7 @@ class _Search:
         for region in self.regions:
             if not region.touches(area_id) and not has_future_bridge:
                 continue
-            if self._violates_monotone(region, area_id):
+            if not self.monotone.accepts(region, area_id):
                 continue
             delta = region.heterogeneity_delta_add(area_id)
             region.add_area(area_id)
@@ -359,12 +361,6 @@ class _Search:
     def _recurse_unassigned(self, depth: int, partial_h: float) -> None:
         self.labels[depth] = -1
         self._recurse(depth + 1, partial_h)
-
-    def _violates_monotone(self, region: Region, area_id: int) -> bool:
-        for c in self.monotone_uppers:
-            if region.value_after_add(c, area_id) > c.upper:
-                return True
-        return False
 
     def _evaluate_leaf(self, partial_h: float) -> None:
         p = len(self.regions)

@@ -68,10 +68,9 @@ class Aggregate:
 
 AGGREGATE_NAMES = Aggregate.all()
 
-# Set view of the canonical names: the constraint-validation hot path
-# (millions of hypothetical-update calls per solve) skips the
-# str.upper() round trip for names that are already canonical — which
-# they always are when they come off a Constraint.
+# Set view of the canonical names: value() skips the str.upper()
+# round trip for names that are already canonical — which they always
+# are when they come off a Constraint.
 _CANONICAL = frozenset(AGGREGATE_NAMES)
 
 
@@ -202,56 +201,24 @@ class AggregateState:
             return self.sum
         return float(self.count)
 
-    # ------------------------------------------------------------------
-    # hypothetical updates (used by constraint validation before moves)
-    # ------------------------------------------------------------------
-    def value_after_add(self, aggregate: str, added: float) -> float:
-        """Aggregate value if *added* were inserted, without mutating."""
-        name = (
-            aggregate
-            if aggregate in _CANONICAL
-            else Aggregate.normalize(aggregate)
-        )
-        added = float(added)
-        if name == Aggregate.MIN:
-            return min(self._min, added)
-        if name == Aggregate.MAX:
-            return max(self._max, added)
-        if name == Aggregate.SUM:
-            return self._sum + added
-        if name == Aggregate.COUNT:
-            return float(self._count + 1)
-        return (self._sum + added) / (self._count + 1)
+    def next_extremum(self, aggregate: str, removed: float) -> float:
+        """``MIN`` (``aggregate == "MIN"``) or ``MAX`` of the multiset
+        if one occurrence of *removed* left it, without mutating.
 
-    def value_after_remove(self, aggregate: str, removed: float) -> float:
-        """Aggregate value if *removed* were deleted, without mutating.
-
-        MIN/MAX may require a scan when *removed* is the unique extremum.
+        The constraint plan asks this only for a value at the extremum;
+        the distinct values are scanned only when *removed* is the
+        unique holder. Raises :class:`KeyError` if *removed* is absent.
         """
-        name = (
-            aggregate
-            if aggregate in _CANONICAL
-            else Aggregate.normalize(aggregate)
-        )
-        removed = float(removed)
-        if self._counts.get(removed, 0) <= 0:
+        present = self._counts.get(removed, 0)
+        if present <= 0:
             raise KeyError(f"value {removed!r} not present in aggregate state")
-        remaining = self._count - 1
-        if name == Aggregate.COUNT:
-            return float(remaining)
-        if name == Aggregate.SUM:
-            return self._sum - removed
-        if name == Aggregate.AVG:
-            if remaining == 0:
-                return math.nan
-            return (self._sum - removed) / remaining
-        if remaining == 0:
-            return math.inf if name == Aggregate.MIN else -math.inf
-        if name == Aggregate.MIN:
-            if removed > self._min or self._counts[removed] > 1:
+        if self._count == 1:
+            return math.inf if aggregate == Aggregate.MIN else -math.inf
+        if aggregate == Aggregate.MIN:
+            if removed > self._min or present > 1:
                 return self._min
             return min(v for v in self._counts if v != removed)
-        if removed < self._max or self._counts[removed] > 1:
+        if removed < self._max or present > 1:
             return self._max
         return max(v for v in self._counts if v != removed)
 

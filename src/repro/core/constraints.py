@@ -14,11 +14,15 @@ the structure of the FaCT construction phase (Section V-B):
 
 :class:`ConstraintSet` bundles the constraints of one query and exposes
 family-based views plus whole-region validation helpers.
+:class:`ConstraintPlan` lays one set out flat over one collection and
+answers every move-validity question of construction and Tabu: does a
+region stay feasible without one of its areas, or with one more?
 """
 
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator, Sequence
 
@@ -29,6 +33,7 @@ __all__ = [
     "Constraint",
     "ConstraintSet",
     "ConstraintFamily",
+    "ConstraintPlan",
     "min_constraint",
     "max_constraint",
     "avg_constraint",
@@ -326,3 +331,173 @@ class ConstraintSet:
         """True if the area's value lies inside *constraint*'s range —
         i.e. the area can serve as this extrema constraint's seed."""
         return constraint.contains(attributes[constraint.attribute])
+
+
+# ----------------------------------------------------------------------
+_SUM, _AVG, _MIN = Aggregate.SUM, Aggregate.AVG, Aggregate.MIN
+_COUNTING = (Aggregate.SUM, Aggregate.COUNT)
+
+# collection -> {constraint set -> plan}: every solver state over the
+# same pair shares one plan, which lives as long as its collection.
+_PLANS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+class ConstraintPlan:
+    """A constraint set laid out flat over one collection: the one
+    answer to "does this region stay feasible without area *a*, or with
+    *a* added?" for every construction phase and the Tabu search.
+
+    ``entries`` are ``(aggregate, attribute, table, lower, upper)``
+    tuples in the set's order; ``table`` maps area id to the attribute
+    value as the same float the regions' aggregate states hold, and
+    COUNT entries carry no attribute and no table. The predicates read
+    a region's size and its per-attribute
+    :class:`~repro.core.aggregates.AggregateState` and replay the move:
+    COUNT ``len ± 1``, SUM ``sum ± v``, AVG ``(sum ± v) / (len ± 1)``,
+    MIN/MAX the extremum against ``v`` (on removal, the next extremum
+    when ``v`` holds it). Contiguity is the caller's question.
+
+    :meth:`of` builds the plan of a pair once; :meth:`restrict` derives
+    the subsets the construction phases check (:meth:`receiver`,
+    :meth:`trim`, :meth:`centrality`). The per-area reference
+    predicates they are checked against live in
+    ``tests/oracles/constraint_reference.py``.
+    """
+
+    __slots__ = ("entries", "counts", "valued")
+
+    def __init__(self, entries: Iterable[tuple]):
+        self.entries = tuple(entries)
+        # COUNT bounds, and the entries that read an aggregate state.
+        self.counts = tuple((e[3], e[4]) for e in self.entries if e[2] is None)
+        self.valued = tuple(e for e in self.entries if e[2] is not None)
+
+    @classmethod
+    def of(cls, collection, constraints: ConstraintSet) -> "ConstraintPlan":
+        """The shared plan of *constraints* over *collection*."""
+        plans = _PLANS.setdefault(collection, {})
+        plan = plans.get(constraints)
+        if plan is None:
+            tables: dict[str, dict[int, float]] = {}
+            entries = []
+            for c in constraints:
+                attribute = table = None
+                if c.aggregate != Aggregate.COUNT:
+                    attribute = c.attribute
+                    if attribute not in tables:
+                        tables[attribute] = {
+                            area_id: float(value)
+                            for area_id, value in collection.attribute_values(
+                                attribute
+                            ).items()
+                        }
+                    table = tables[attribute]
+                entries.append((c.aggregate, attribute, table, c.lower, c.upper))
+            plan = plans[constraints] = cls(entries)
+        return plan
+
+    def restrict(self, both=(), lower=(), upper=()) -> "ConstraintPlan":
+        """The sub-plan one phase checks: entries on an aggregate in
+        *both* keep both bounds, in *lower* (*upper*) only that bound;
+        other entries, and entries left without a finite bound, drop."""
+        entries = []
+        for aggregate, attribute, table, low, high in self.entries:
+            if aggregate in lower:
+                high = math.inf
+            elif aggregate in upper:
+                low = -math.inf
+            elif aggregate not in both:
+                continue
+            if low != -math.inf or high != math.inf:
+                entries.append((aggregate, attribute, table, low, high))
+        return ConstraintPlan(entries)
+
+    def receiver(self) -> "ConstraintPlan":
+        """Adjustment Phases A/B, receiver side: AVG and the counting
+        upper bounds (a filtered-valid area cannot break an extremum,
+        and counting lower bounds only get closer)."""
+        return self.restrict(both=(Aggregate.AVG,), upper=_COUNTING)
+
+    def trim(self) -> "ConstraintPlan":
+        """Adjustment Phase D: AVG, the extrema and the counting lower
+        bounds."""
+        return self.restrict(
+            both=(Aggregate.AVG, Aggregate.MIN, Aggregate.MAX), lower=_COUNTING
+        )
+
+    def centrality(self) -> "ConstraintPlan":
+        """The enclave round of region growing: AVG only."""
+        return self.restrict(both=(Aggregate.AVG,))
+
+    def spare(self, region, area_id: int) -> bool:
+        """True when *region* keeps every entry without its member
+        *area_id* (and stays non-empty)."""
+        return bool(self._spared(region, (area_id,)))
+
+    def spare_members(self, region) -> list[int]:
+        """The removable members of *region* it can spare, by id: a
+        Tabu donor's side in one call, COUNT and the aggregate lookups
+        done once. The contiguity oracle is asked only when the COUNT
+        bounds allow a departure at all."""
+        return self._spared(region, None)
+
+    def _spared(self, region, area_ids) -> list[int]:
+        remaining = len(region) - 1
+        if remaining < 1 or not all(
+            lower <= remaining <= upper for lower, upper in self.counts
+        ):
+            return []
+        if area_ids is None:
+            area_ids = sorted(region.removable_areas())
+        aggregates = region._aggregates
+        checks = [
+            (aggregate, aggregates[attribute], table, lower, upper)
+            for aggregate, attribute, table, lower, upper in self.valued
+        ]
+        kept = []
+        for area_id in area_ids:
+            for aggregate, agg, table, lower, upper in checks:
+                v = table[area_id]
+                if aggregate == _SUM:
+                    value = agg.sum - v
+                elif aggregate == _AVG:
+                    value = (agg.sum - v) / remaining
+                elif aggregate == _MIN:
+                    value = agg.min
+                    if v <= value:  # the extremum may leave with it
+                        value = agg.next_extremum(aggregate, v)
+                else:  # MAX
+                    value = agg.max
+                    if v >= value:
+                        value = agg.next_extremum(aggregate, v)
+                if not lower <= value <= upper:
+                    break
+            else:
+                kept.append(area_id)
+        return kept
+
+    def accepts(self, region, area_id: int) -> bool:
+        """True when *region* keeps every entry with *area_id* added."""
+        grown = len(region) + 1
+        for lower, upper in self.counts:
+            if not lower <= grown <= upper:
+                return False
+        aggregates = region._aggregates
+        for aggregate, attribute, table, lower, upper in self.valued:
+            v = table[area_id]
+            agg = aggregates[attribute]
+            if aggregate == _SUM:
+                value = agg.sum + v
+            elif aggregate == _AVG:
+                value = (agg.sum + v) / grown
+            elif aggregate == _MIN:
+                value = agg.min
+                if v < value:
+                    value = v
+            else:  # MAX
+                value = agg.max
+                if v > value:
+                    value = v
+            if not lower <= value <= upper:
+                return False
+        return True

@@ -344,47 +344,6 @@ class Region:
         """The subset of *constraints* this region violates."""
         return [c for c in constraints if not self.satisfies(c)]
 
-    def value_after_add(self, constraint: Constraint, area_id: int) -> float:
-        """Constraint aggregate value if *area_id* were added."""
-        if constraint.aggregate == Aggregate.COUNT:
-            return float(len(self._areas) + 1)
-        added = self._collection.attribute(area_id, constraint.attribute)
-        return self._state(constraint.attribute).value_after_add(
-            constraint.aggregate, added
-        )
-
-    def value_after_remove(self, constraint: Constraint, area_id: int) -> float:
-        """Constraint aggregate value if *area_id* were removed."""
-        if constraint.aggregate == Aggregate.COUNT:
-            return float(len(self._areas) - 1)
-        removed = self._collection.attribute(area_id, constraint.attribute)
-        return self._state(constraint.attribute).value_after_remove(
-            constraint.aggregate, removed
-        )
-
-    def satisfies_after_add(
-        self, constraints: ConstraintSet | Iterable[Constraint], area_id: int
-    ) -> bool:
-        """True when adding *area_id* keeps every constraint satisfied."""
-        # Explicit loop: this runs once per Tabu candidate evaluation,
-        # where the all(<genexpr>) frame overhead is measurable.
-        for c in constraints:
-            if not c.contains(self.value_after_add(c, area_id)):
-                return False
-        return True
-
-    def satisfies_after_remove(
-        self, constraints: ConstraintSet | Iterable[Constraint], area_id: int
-    ) -> bool:
-        """True when removing *area_id* keeps every constraint satisfied
-        (the region must stay non-empty)."""
-        if len(self._areas) <= 1:
-            return False
-        for c in constraints:
-            if not c.contains(self.value_after_remove(c, area_id)):
-                return False
-        return True
-
     # ------------------------------------------------------------------
     # contiguity
     # ------------------------------------------------------------------

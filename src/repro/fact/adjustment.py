@@ -96,20 +96,6 @@ def _violates_upper(region: Region, counting: Sequence[Constraint]) -> bool:
     return any(region.constraint_value(c) > c.upper for c in counting)
 
 
-def _safe_to_add(state: SolutionState, region: Region, area_id: int) -> bool:
-    """Adding *area_id* keeps the AVG constraints satisfied and no
-    counting constraint above its upper bound. (Extrema constraints
-    cannot be violated by adding a filtered-valid area, and counting
-    lower bounds only get closer.)"""
-    for c in state.constraints.avgs:
-        if not c.contains(region.value_after_add(c, area_id)):
-            return False
-    for c in state.constraints.counting:
-        if region.value_after_add(c, area_id) > c.upper:
-            return False
-    return True
-
-
 # ----------------------------------------------------------------------
 # Phase A — absorb unassigned areas into deficient regions
 # ----------------------------------------------------------------------
@@ -118,6 +104,7 @@ def _absorb_unassigned(
     state: SolutionState, config: FaCTConfig, rng: random.Random
 ) -> None:
     counting = state.constraints.counting
+    receiver = state.plan.receiver()
     for region_id in list(state.regions):
         region = state.regions.get(region_id)
         if region is None:
@@ -128,7 +115,7 @@ def _absorb_unassigned(
             candidates = [
                 area_id
                 for area_id in frontier
-                if _safe_to_add(state, region, area_id)
+                if receiver.accepts(region, area_id)
             ]
             if not candidates:
                 break
@@ -145,8 +132,12 @@ def _absorb_unassigned(
 # ----------------------------------------------------------------------
 
 def _swap_from_neighbors(state: SolutionState, rng: random.Random) -> None:
+    """The paper's swap validation: the donor must remain a single
+    connected component and keep satisfying *all* constraints; the
+    receiver must stay within the AVG ranges and upper bounds."""
     counting = state.constraints.counting
-    all_constraints = state.constraints
+    plan = state.plan
+    receiver = plan.receiver()
     for region_id in list(state.regions):
         region = state.regions.get(region_id)
         if region is None:
@@ -161,34 +152,16 @@ def _swap_from_neighbors(state: SolutionState, rng: random.Random) -> None:
                 rng.shuffle(boundary)
                 for area_id in boundary:
                     state.perf.candidate_evaluations += 1
-                    if not _swap_is_valid(
-                        state, donor, region, area_id, all_constraints
+                    if (
+                        plan.spare(donor, area_id)
+                        and donor.remains_contiguous_without(area_id)
+                        and receiver.accepts(region, area_id)
                     ):
-                        continue
-                    state.move(area_id, region)
-                    progress = True
-                    break
+                        state.move(area_id, region)
+                        progress = True
+                        break
                 if progress:
                     break
-
-
-def _swap_is_valid(
-    state: SolutionState,
-    donor: Region,
-    receiver: Region,
-    area_id: int,
-    constraints,
-) -> bool:
-    """The paper's swap validation: the donor must remain a single
-    connected component and keep satisfying *all* constraints; the
-    receiver must stay within the AVG ranges and upper bounds."""
-    if len(donor) <= 1:
-        return False
-    if not donor.satisfies_after_remove(constraints, area_id):
-        return False
-    if not donor.remains_contiguous_without(area_id):
-        return False
-    return _safe_to_add(state, receiver, area_id)
 
 
 # ----------------------------------------------------------------------
@@ -251,9 +224,7 @@ def _union_respects_uppers(
 
 def _trim_oversized(state: SolutionState, rng: random.Random) -> None:
     counting = state.constraints.counting
-    keep_satisfied = tuple(state.constraints.avgs) + tuple(
-        state.constraints.extrema
-    )
+    trim = state.plan.trim()
     for region_id in list(state.regions):
         region = state.regions.get(region_id)
         if region is None:
@@ -271,12 +242,7 @@ def _trim_oversized(state: SolutionState, rng: random.Random) -> None:
                 state.perf.candidate_evaluations += 1
                 if len(region) <= 1:
                     break
-                if not region.satisfies_after_remove(keep_satisfied, area_id):
-                    continue
-                if any(
-                    region.value_after_remove(c, area_id) < c.lower
-                    for c in counting
-                ):
+                if not trim.spare(region, area_id):
                     continue
                 if not region.remains_contiguous_without(area_id):
                     continue

@@ -362,7 +362,7 @@ def _assignment_round(
 ) -> None:
     """Round 1: sweep unassigned areas into adjacent regions until no
     pass makes an update."""
-    avgs = classes.avgs
+    centrality = state.plan.centrality()
     changed = True
     while changed:
         if budget is not None:
@@ -382,7 +382,7 @@ def _assignment_round(
                 candidates = [
                     region
                     for region in neighbor_regions
-                    if region.satisfies_after_add(avgs, area_id)
+                    if centrality.accepts(region, area_id)
                 ]
             if not candidates:
                 continue

@@ -324,7 +324,9 @@ class SolverPool:
         the first interrupted unit ends the phase. Otherwise the gate
         runs once and the units fan out over the pool through
         :meth:`collect_resilient`, each worker enforcing the budget's
-        remaining seconds locally.
+        remaining seconds locally. Either way only a unit that ran
+        passes the ``pool.result`` fault checkpoint; a replayed one
+        does not.
         """
         telemetry = telemetry if telemetry is not None else DISABLED
         context = context or {}
@@ -373,10 +375,10 @@ class SolverPool:
                     result = self.run_local(
                         task, *spec, None, budget, span_context
                     )
-                try:
-                    budget.checkpoint("pool.result")
-                except Interrupted:
-                    pass  # observed at the next unit's gate
+                    try:
+                        budget.checkpoint("pool.result")
+                    except Interrupted:
+                        pass  # observed at the next unit's gate
                 _finish(index, result, fresh)
                 if result.status is not None:
                     break

@@ -40,7 +40,7 @@ from typing import Iterable, Iterator
 
 from ..core import arrays as arrays_mod
 from ..core.area import AreaCollection
-from ..core.constraints import ConstraintSet
+from ..core.constraints import ConstraintPlan, ConstraintSet
 from ..core.partition import Partition
 from ..core.perf import PerfCounters
 from ..core.region import Region
@@ -77,6 +77,8 @@ class SolutionState:
     ):
         self.collection = collection
         self.constraints = constraints
+        # Every move-validity check of construction and Tabu reads it.
+        self.plan = ConstraintPlan.of(collection, constraints)
         self.tracked = tuple(sorted(constraints.attributes()))
         self.excluded: frozenset[int] = frozenset(excluded)
         for area_id in self.excluded:

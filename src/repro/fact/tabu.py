@@ -337,33 +337,6 @@ def _initial_labels(state: SolutionState) -> dict[int, int]:
     return labels
 
 
-def _constraint_plan(state: SolutionState) -> tuple:
-    """The constraint set as ``(aggregate, attribute, per-area value
-    table, lower, upper)`` tuples for the scalar derive; COUNT carries
-    no attribute and no table. Table values are the same floats the
-    regions' aggregate states hold."""
-    collection = state.collection
-    tables: dict[str, dict[int, float]] = {}
-    plan = []
-    for constraint in state.constraints:
-        attribute = table = None
-        if constraint.aggregate != Aggregate.COUNT:
-            attribute = constraint.attribute
-            table = tables.get(attribute)
-            if table is None:
-                table = tables[attribute] = {
-                    area_id: float(value)
-                    for area_id, value in collection.attribute_values(
-                        attribute
-                    ).items()
-                }
-        plan.append(
-            (constraint.aggregate, attribute, table, constraint.lower,
-             constraint.upper)
-        )
-    return tuple(plan)
-
-
 class _Run:
     """One donor's moves from one derive, sorted by ``(delta, area,
     receiver)``, plus what the search has learned about them since.
@@ -476,7 +449,7 @@ class _MovePool:
         # delta_move in the scalar kernel. Both kernels produce
         # identical runs.
         self._heterogeneity = type(objective) is HeterogeneityObjective
-        self._plan = _constraint_plan(state)
+        self._plan = state.plan
         self._heap: list[tuple[float, int, int, int, int, int]] = []
         self._next_stamp = 0
         # Membership version each donor's moves were last derived at.
@@ -641,50 +614,23 @@ class _MovePool:
         (``len(donor) >= 2``); the removal delta is ``None`` when the
         objective prices moves itself."""
         rows: list[list] = []
-        spare = len(donor) - 1
-        aggregates = donor._aggregates
-        checks = []
-        for aggregate, attribute, table, lower, upper in self._plan:
-            if table is None:  # COUNT
-                if not lower <= spare <= upper:
-                    return rows
-            else:
-                checks.append(
-                    (aggregate, aggregates[attribute], table, lower, upper)
-                )
-        if self._heterogeneity:
+        spare = self._plan.spare_members(donor)
+        if spare and self._heterogeneity:
             values, prefix = donor._struct_views()
             total = prefix[-1]
             size = len(values)
         dissimilarity = donor._dissimilarities
-        for area_id in sorted(donor.removable_areas()):
-            for aggregate, agg, table, lower, upper in checks:
-                v = table[area_id]
-                if aggregate == Aggregate.SUM:
-                    value = agg.sum - v
-                elif aggregate == Aggregate.AVG:
-                    value = (agg.sum - v) / (agg.count - 1)
-                elif aggregate == Aggregate.MIN:
-                    value = agg.min
-                    if v <= value:  # the extremum may leave with it
-                        value = agg.value_after_remove(aggregate, v)
-                else:  # MAX
-                    value = agg.max
-                    if v >= value:
-                        value = agg.value_after_remove(aggregate, v)
-                if not lower <= value <= upper:
-                    break
-            else:
-                d = dissimilarity[area_id]
-                remove_delta = None
-                if self._heterogeneity:
-                    # -(sum_j |d - d_j|): Region.heterogeneity_delta_remove.
-                    k = bisect_left(values, d)
-                    below = prefix[k]
-                    remove_delta = -(
-                        (d * k - below) + ((total - below) - d * (size - k))
-                    )
-                rows.append([area_id, d, remove_delta, []])
+        for area_id in spare:
+            d = dissimilarity[area_id]
+            remove_delta = None
+            if self._heterogeneity:
+                # -(sum_j |d - d_j|): Region.heterogeneity_delta_remove.
+                k = bisect_left(values, d)
+                below = prefix[k]
+                remove_delta = -(
+                    (d * k - below) + ((total - below) - d * (size - k))
+                )
+            rows.append([area_id, d, remove_delta, []])
         return rows
 
     def _price_pair(
@@ -697,31 +643,12 @@ class _MovePool:
     ) -> float | None:
         """Delta of moving *area_id* (dissimilarity *d*) from *donor*
         into *receiver*, or ``None`` when the receiver cannot take it —
-        ``Region.satisfies_after_add`` plus the objective's delta,
-        off the constraint plan and the receiver's aggregate states."""
+        the plan's ``accepts`` plus the objective's delta, off the
+        receiver's maintained sorted list."""
         perf = self._state.perf
         perf.candidate_evaluations += 1
-        aggregates = receiver._aggregates
-        for aggregate, attribute, table, lower, upper in self._plan:
-            if table is None:  # COUNT
-                value = len(receiver) + 1
-            else:
-                v = table[area_id]
-                agg = aggregates[attribute]
-                if aggregate == Aggregate.SUM:
-                    value = agg.sum + v
-                elif aggregate == Aggregate.AVG:
-                    value = (agg.sum + v) / (agg.count + 1)
-                elif aggregate == Aggregate.MIN:
-                    value = agg.min
-                    if v < value:
-                        value = v
-                else:  # MAX
-                    value = agg.max
-                    if v > value:
-                        value = v
-            if not lower <= value <= upper:
-                return None
+        if not self._plan.accepts(receiver, area_id):
+            return None
         if remove_delta is None:
             return self._objective.delta_move(donor, receiver, area_id)
         # Region.heterogeneity_delta_add, off the same maintained lists.
@@ -766,8 +693,7 @@ class _MovePool:
             perf.vector_derives += 1
             spare = len(donor) - 1
             if not all(
-                table is not None or lower <= spare <= upper
-                for _, _, table, lower, upper in self._plan
+                lower <= spare <= upper for lower, upper in self._plan.counts
             ):
                 continue
             articulation = donor._oracle()[1]
@@ -863,21 +789,19 @@ class _MovePool:
         return runs
 
     def _donor_feasible(self, donors: list[Region], cand_idx, cand_slot):
-        """Elementwise ``satisfies_after_remove`` over candidates of
+        """Elementwise ``ConstraintPlan.spare`` over candidates of
         several donors (*cand_slot* indexes *donors*; COUNT was checked
         by the caller).
 
         SUM/AVG are vector arithmetic on each donor's scalar aggregate
         state. A MIN/MAX candidate at the donor's extremum holds it,
         and every holder gives the same value after removal, so
-        ``value_after_remove`` runs once per donor and constraint, and
-        only when some candidate holds the extremum.
+        ``next_extremum`` runs once per donor and constraint, and only
+        when some candidate holds the extremum.
         """
         ok = np.ones(len(cand_idx), dtype=bool)
         columns = self._state.array_state.arrays.attributes
-        for aggregate, attribute, table, lower, upper in self._plan:
-            if table is None:  # COUNT
-                continue
+        for aggregate, attribute, _, lower, upper in self._plan.valued:
             vals = columns[attribute][cand_idx]
             states = [donor._aggregates[attribute] for donor in donors]
             if aggregate == Aggregate.SUM or aggregate == Aggregate.AVG:
@@ -892,7 +816,7 @@ class _MovePool:
                 value = np.asarray(extrema)[cand_slot]
                 holds = (vals <= value) if is_min else (vals >= value)
                 for slot in set(cand_slot[holds].tolist()):
-                    extrema[slot] = states[slot].value_after_remove(
+                    extrema[slot] = states[slot].next_extremum(
                         aggregate, extrema[slot]
                     )
                 value = np.where(holds, np.asarray(extrema)[cand_slot], value)
@@ -900,7 +824,7 @@ class _MovePool:
         return ok
 
     def _receiver_feasible_all(self, pair_idx, receivers, group):
-        """Elementwise ``satisfies_after_add`` over every (candidate,
+        """Elementwise ``ConstraintPlan.accepts`` over every (candidate,
         receiver) pair at once (*group* is each pair's index into the
         unique *receivers*).
 
@@ -912,7 +836,7 @@ class _MovePool:
         columns = self._state.array_state.arrays.attributes
         counts = np.asarray([len(region) + 1 for region in receivers])[group]
         ok = np.ones(len(pair_idx), dtype=bool)
-        for aggregate, attribute, table, lower, upper in self._plan:
+        for aggregate, attribute, table, lower, upper in self._plan.entries:
             if table is None:  # COUNT
                 ok &= _within(counts, lower, upper)
                 continue
@@ -949,10 +873,9 @@ class _MovePool:
             return None
         if not receiver.touches(area_id):
             return None
-        constraints = state.constraints
-        if not donor.satisfies_after_remove(constraints, area_id):
+        if not self._plan.spare(donor, area_id):
             return None
-        if not receiver.satisfies_after_add(constraints, area_id):
+        if not self._plan.accepts(receiver, area_id):
             return None
         if not donor.remains_contiguous_without(area_id):
             return None

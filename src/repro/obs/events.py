@@ -83,6 +83,8 @@ class EventLog:
     def __init__(self, path: str | None = None):
         self.path = str(path) if path is not None else None
         self.records: list[dict] = []
+        # JSON lines of the records flushed so far, serialized once.
+        self._lines: list[str] = []
         self._pending = 0
         self._closed = False
         self._last_flush_mono = time.monotonic()
@@ -114,14 +116,16 @@ class EventLog:
 
     def flush(self) -> None:
         """Atomically rewrite the backing file with every record so
-        far (no-op for in-memory logs)."""
+        far (no-op for in-memory logs). Each record is serialized once,
+        at its first flush."""
         self._last_flush_mono = time.monotonic()
         if self.path is None or not self._pending:
             return
-        lines = [
+        lines = self._lines
+        lines.extend(
             json.dumps(record, sort_keys=True, default=str)
-            for record in self.records
-        ]
+            for record in self.records[len(lines):]
+        )
         atomic_write_text(self.path, "\n".join(lines) + "\n")
         self._pending = 0
 

@@ -22,16 +22,18 @@ live membership:
 - region merge: the absorbed region kept up to date area by area —
   aggregates, sorted list, block-cut log and label-vector entries —
   while the survivor takes its areas (:func:`merge`);
+- move validity: every ``ConstraintPlan`` verdict re-derived one
+  constraint and one area at a time (``oracles/constraint_reference.py``);
 - Tabu move derive: every boundary move of a donor re-derived through
-  the per-area ``Region.satisfies_after_*`` and ``Objective.delta_move``
+  the per-area reference predicates and ``Objective.delta_move``
   object calls, with no cached rows (:func:`derive_moves_scalar`);
 - Tabu selection: an exhaustive scan of every donor run's live moves
   under the heap index's total order ``(delta, area, receiver, donor)``,
   with corrections and evictions recorded in the runs
   (:func:`best_admissible`).
 
-The heterogeneity, merge, frontier, contiguity and Tabu references
-are bit-identical to production; compactness agrees to float accumulation
+The heterogeneity, merge, frontier, contiguity, move-validity and
+Tabu references are bit-identical to production; compactness agrees to float accumulation
 order. :func:`reference_hotpaths` patches all of them into the solver
 classes, so a whole solve can replay against the reference. The vector
 kernels read the maintained structures directly — pair it with
@@ -48,10 +50,17 @@ from itertools import accumulate
 import pytest
 
 from repro.contiguity.graph import removable_set
+from repro.core.constraints import ConstraintPlan
 from repro.core.region import Region
 from repro.exceptions import InvalidAreaError
 from repro.fact import objectives, tabu
 from repro.fact.state import SolutionState
+
+from oracles import constraint_reference
+from oracles.constraint_reference import (
+    satisfies_after_add,
+    satisfies_after_remove,
+)
 
 # ----------------------------------------------------------------------
 # contiguity: one fresh BFS per verdict
@@ -227,12 +236,12 @@ def derive_moves_scalar(pool, donor: Region, touched=None) -> dict:
         receiver_ids.discard(donor_id)
         if not receiver_ids:
             continue
-        if not donor.satisfies_after_remove(constraints, area_id):
+        if not satisfies_after_remove(donor, constraints, area_id):
             continue
         for receiver_id in sorted(receiver_ids):
             state.perf.candidate_evaluations += 1
             receiver = state.regions[receiver_id]
-            if not receiver.satisfies_after_add(constraints, area_id):
+            if not satisfies_after_add(receiver, constraints, area_id):
                 continue
             moves[(area_id, receiver_id)] = pool._objective.delta_move(
                 donor, receiver, area_id
@@ -319,6 +328,15 @@ def reference_hotpaths():
         patch.setattr(Region, "_abs_deviation_sum", abs_deviation_sum)
         patch.setattr(Region, "sorted_dissimilarities", sorted_dissimilarities)
         patch.setattr(Region, "merge", merge)
+        patch.setattr(ConstraintPlan, "spare", constraint_reference.plan_spare)
+        patch.setattr(
+            ConstraintPlan, "accepts", constraint_reference.plan_accepts
+        )
+        patch.setattr(
+            ConstraintPlan,
+            "spare_members",
+            constraint_reference.plan_spare_members,
+        )
         patch.setattr(Region, "_struct_insert", _drop_structure)
         patch.setattr(Region, "_struct_remove", _drop_structure)
         patch.setattr(SolutionState, "adjacent_regions", adjacent_regions)

@@ -9,6 +9,11 @@ from hypothesis import given, strategies as st
 
 from repro.core.aggregates import Aggregate, AggregateState
 
+from oracles.constraint_reference import (
+    aggregate_value_after_add as value_after_add,
+    aggregate_value_after_remove as value_after_remove,
+)
+
 finite_values = st.floats(
     min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False
 )
@@ -127,36 +132,50 @@ class TestValueDispatch:
 
 
 class TestHypotheticalUpdates:
+    """The reference hypothetical updates the constraint plan is checked
+    against, and the one MIN/MAX helper the plan keeps."""
+
     def test_value_after_add_does_not_mutate(self):
         state = AggregateState([1.0, 2.0])
-        assert state.value_after_add("SUM", 5.0) == 8.0
+        assert value_after_add(state, "SUM", 5.0) == 8.0
         assert state.sum == 3.0
 
     def test_value_after_add_avg(self):
         state = AggregateState([2.0, 4.0])
-        assert state.value_after_add("AVG", 6.0) == 4.0
+        assert value_after_add(state, "AVG", 6.0) == 4.0
 
     def test_value_after_add_min_max(self):
         state = AggregateState([2.0, 4.0])
-        assert state.value_after_add("MIN", 1.0) == 1.0
-        assert state.value_after_add("MAX", 1.0) == 4.0
+        assert value_after_add(state, "MIN", 1.0) == 1.0
+        assert value_after_add(state, "MAX", 1.0) == 4.0
 
     def test_value_after_remove_unique_extremum(self):
         state = AggregateState([1.0, 3.0, 9.0])
-        assert state.value_after_remove("MIN", 1.0) == 3.0
-        assert state.value_after_remove("MAX", 9.0) == 3.0
+        assert value_after_remove(state, "MIN", 1.0) == 3.0
+        assert value_after_remove(state, "MAX", 9.0) == 3.0
+        assert state.next_extremum("MIN", 1.0) == 3.0
+        assert state.next_extremum("MAX", 9.0) == 3.0
         assert state.count == 3  # untouched
+
+    def test_next_extremum_keeps_a_duplicated_holder(self):
+        state = AggregateState([1.0, 1.0, 9.0, 9.0])
+        assert state.next_extremum("MIN", 1.0) == 1.0
+        assert state.next_extremum("MAX", 9.0) == 9.0
 
     def test_value_after_remove_to_empty(self):
         state = AggregateState([5.0])
-        assert state.value_after_remove("MIN", 5.0) == math.inf
-        assert state.value_after_remove("MAX", 5.0) == -math.inf
-        assert math.isnan(state.value_after_remove("AVG", 5.0))
-        assert state.value_after_remove("COUNT", 5.0) == 0.0
+        assert value_after_remove(state, "MIN", 5.0) == math.inf
+        assert value_after_remove(state, "MAX", 5.0) == -math.inf
+        assert math.isnan(value_after_remove(state, "AVG", 5.0))
+        assert value_after_remove(state, "COUNT", 5.0) == 0.0
+        assert state.next_extremum("MIN", 5.0) == math.inf
+        assert state.next_extremum("MAX", 5.0) == -math.inf
 
     def test_value_after_remove_absent_raises(self):
         with pytest.raises(KeyError):
-            AggregateState([1.0]).value_after_remove("SUM", 2.0)
+            value_after_remove(AggregateState([1.0]), "SUM", 2.0)
+        with pytest.raises(KeyError):
+            AggregateState([1.0]).next_extremum("MIN", 2.0)
 
 
 class TestProperties:
@@ -189,7 +208,7 @@ class TestProperties:
     def test_value_after_add_equals_actual_add(self, values, extra):
         state = AggregateState(values)
         predicted = {
-            name: state.value_after_add(name, extra)
+            name: value_after_add(state, name, extra)
             for name in ("MIN", "MAX", "SUM", "COUNT", "AVG")
         }
         state.add(extra)
@@ -201,10 +220,17 @@ class TestProperties:
         state = AggregateState(values)
         victim = data.draw(st.sampled_from(values))
         predicted = {
-            name: state.value_after_remove(name, victim)
+            name: value_after_remove(state, name, victim)
             for name in ("MIN", "MAX", "SUM", "COUNT", "AVG")
         }
+        extrema = {
+            name: state.next_extremum(name, victim)
+            for name in ("MIN", "MAX")
+            if victim == state.value(name)
+        }
         state.remove(victim)
+        for name, value in extrema.items():
+            assert state.value(name) == value
         for name, value in predicted.items():
             assert state.value(name) == pytest.approx(value, abs=1e-9)
 

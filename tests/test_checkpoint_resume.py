@@ -457,14 +457,16 @@ class TestFaultCheckpointVisits:
         },
     }
     # Resumed from a file holding 4 units (killed at the 5th write):
-    # inline, replayed units still pass their gate and pool.result;
-    # fanned out, only the 2 recomputed members are collected.
+    # only the 2 recomputed members pass pool.result at either worker
+    # count. Inline, replayed units still pass their start gate (how
+    # the inline path sees cancellation mid-phase); fanned out, the
+    # gate runs once.
     RESUMED = {
         1: {
             "checkpoint.write": 2,
             "construction.pass.start": 3,
             "feasibility.checked": 1,
-            "pool.result": 6,
+            "pool.result": 2,
             "preflight.components": 1,
             "preflight.lint": 1,
             "tabu.iteration": 16,

@@ -229,6 +229,31 @@ class TestEventLog:
         log.close()
         assert len(read_events(str(path))) == 1
 
+    def test_flushes_write_a_fresh_serialization_of_every_record(
+        self, tmp_path
+    ):
+        path = tmp_path / "trace.jsonl"
+        log = EventLog(str(path))
+
+        def fresh() -> str:
+            lines = [
+                json.dumps(record, sort_keys=True, default=str)
+                for record in log.records
+            ]
+            return "\n".join(lines) + "\n"
+
+        for flush in range(4):
+            for i in range(flush + 1):
+                # A module object serializes through default=str.
+                log.emit("tick", flush=flush, i=i, clock=time)
+            log.flush()
+            assert path.read_text() == fresh()
+        log.emit("run.end")  # a terminal kind flushes at once
+        assert path.read_text() == fresh()
+        log.close()
+        assert path.read_text() == fresh()
+        assert len(read_events(str(path))) == 11
+
 
 class TestProfilingHooks:
     def test_disabled_by_default(self, monkeypatch):

@@ -16,10 +16,17 @@ from repro.core import (
     min_constraint,
     sum_constraint,
 )
+from repro.core.constraints import ConstraintPlan
 from repro.core.heterogeneity import pairwise_absolute_deviation_naive
 from repro.exceptions import InvalidAreaError
 
 from conftest import make_grid_collection
+from oracles.constraint_reference import (
+    satisfies_after_add,
+    satisfies_after_remove,
+    value_after_add,
+    value_after_remove,
+)
 
 
 @pytest.fixture
@@ -102,22 +109,35 @@ class TestConstraintChecks:
     def test_satisfies_after_add_matches_actual(self, grid3):
         region = Region(0, grid3, ["s"], areas=[4])
         cs = ConstraintSet([avg_constraint("s", 4, 5)])
-        assert region.satisfies_after_add(cs, 5)  # avg 4.5
-        assert not region.satisfies_after_add(cs, 9)  # avg 6.5
+        plan = ConstraintPlan.of(grid3, cs)
+        assert plan.accepts(region, 5)  # avg 4.5
+        assert not plan.accepts(region, 9)  # avg 6.5
+        assert satisfies_after_add(region, cs, 5)
+        assert not satisfies_after_add(region, cs, 9)
 
     def test_satisfies_after_remove_requires_non_singleton(self, grid3):
         region = Region(0, grid3, ["s"], areas=[4])
         cs = ConstraintSet([avg_constraint("s", 0, 100)])
-        assert not region.satisfies_after_remove(cs, 4)
+        assert not ConstraintPlan.of(grid3, cs).spare(region, 4)
+        assert not satisfies_after_remove(region, cs, 4)
 
     def test_value_after_add_and_remove(self, grid3):
         region = Region(0, grid3, ["s"], areas=[2, 6])
         c = avg_constraint("s", 0, 100)
-        assert region.value_after_add(c, 4) == 4.0
-        assert region.value_after_remove(c, 2) == 6.0
+        assert value_after_add(region, c, 4) == 4.0
+        assert value_after_remove(region, c, 2) == 6.0
         cc = count_constraint(1, 10)
-        assert region.value_after_add(cc, 4) == 3.0
-        assert region.value_after_remove(cc, 2) == 1.0
+        assert value_after_add(region, cc, 4) == 3.0
+        assert value_after_remove(region, cc, 2) == 1.0
+        # The plan's verdicts at bounds equal to those values.
+        plan = ConstraintPlan.of(grid3, ConstraintSet([
+            avg_constraint("s", 4, 4), count_constraint(3, 3)
+        ]))
+        assert plan.accepts(region, 4)
+        plan = ConstraintPlan.of(grid3, ConstraintSet([
+            avg_constraint("s", 6, 6), count_constraint(1, 1)
+        ]))
+        assert plan.spare(region, 2)
 
 
 class TestContiguity:
